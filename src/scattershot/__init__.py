@@ -41,7 +41,6 @@ from .sources import (
     p_sbs,
     p_sbs_fake,
     p_sbs_lossy,
-    spdc_number_prob,
 )
 from .states import COLLISION_FREE, FULL_FOCK, enumerate_states
 from .supremacy import (

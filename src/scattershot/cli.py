@@ -166,7 +166,10 @@ def distribution_to_csv(dist: dstr.OutputDistribution, command: str, config: dic
 def distribution_from_file(path: str) -> dstr.OutputDistribution:
     text = Path(path).read_text()
     if text.lstrip().startswith("{"):
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"cannot parse distribution {path}: {exc}") from exc
         states = np.array([st.state_from_string(s) for s in doc["states"]], dtype=np.uint8)
         return dstr.OutputDistribution(
             m=int(doc["m"]),
@@ -189,14 +192,21 @@ def distribution_from_file(path: str) -> dstr.OutputDistribution:
             continue
         if not line or line.startswith("state,"):
             continue
-        state_s, prob_s = line.rsplit(",", 1)
+        try:
+            state_s, prob_s = line.rsplit(",", 1)
+            prob = float(prob_s)
+        except ValueError as exc:
+            raise UsageError(f"malformed distribution row {line!r} in {path}") from exc
         states.append(st.state_from_string(state_s))
-        probs.append(float(prob_s))
+        probs.append(prob)
     required = {"m", "n", "family", "renormalized", "raw_mass"}
     if not required <= header.keys():
         raise UsageError(f"distribution CSV header missing {required - header.keys()}")
+    m = int(header["m"])
+    if any(row.size != m for row in states):
+        raise UsageError(f"distribution CSV {path} has a state whose length is not m={m}")
     return dstr.OutputDistribution(
-        m=int(header["m"]),
+        m=m,
         n_detected=int(header["n"]),
         family=header["family"],
         states=np.array(states, dtype=np.uint8),
@@ -503,13 +513,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "platform", None) and args.command == "supremacy":
-        doc = load_platform_config(args.config)
-        if doc["platform"] != args.platform:
-            print(f"usage-error: config platform {doc['platform']!r} != --platform "
-                  f"{args.platform!r}", file=sys.stderr)
-            return 2
     try:
+        if getattr(args, "platform", None) and args.command == "supremacy":
+            doc = load_platform_config(args.config)
+            if doc["platform"] != args.platform:
+                raise UsageError(f"config platform {doc['platform']!r} != --platform "
+                                 f"{args.platform!r}")
         return args.func(args)
     except UsageError as exc:
         print(f"usage-error: {exc}", file=sys.stderr)

@@ -329,13 +329,16 @@ def lossy_distribution_combined(
 
 
 def total_variation_distance(p: OutputDistribution, q: OutputDistribution) -> float:
-    """0.5 * sum |p_i - q_i| over a shared, renormalized family."""
+    """0.5 * sum |p_i - q_i| over a shared, renormalized family whose state
+    lists match row for row."""
     if (p.family, p.m, p.n_detected) != (q.family, q.m, q.n_detected):
         raise InvalidComparisonError(
             f"family mismatch: {(p.family, p.m, p.n_detected)} vs {(q.family, q.m, q.n_detected)}"
         )
     if not (p.renormalized and q.renormalized):
         raise InvalidComparisonError("total variation distance needs renormalized inputs")
+    if not np.array_equal(p.states, q.states):
+        raise InvalidComparisonError("state lists differ; probabilities are compared by position")
     return float(0.5 * np.sum(np.abs(p.probs - q.probs)))
 
 

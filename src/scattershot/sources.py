@@ -2,10 +2,13 @@
 
 SPDC scattershot: per-shot pair generation up to second order, heralding with
 non-number-resolving triggers, shuttered injection and lumped propagation +
-detection efficiency. The success, fake and lossy event probabilities are
-closed-form sums over generation, heralding and injection outcomes; an
-independent Monte-Carlo simulation of the physical process cross-checks each
-of them.
+detection efficiency. Each source independently ends a shot in one of three
+heralding outcomes: a triggered single (g eta_t), a triggered double
+(g^2 eta_t2) or no click (the rest). The number of sources heralding n1
+singles and n - n1 doubles is therefore multinomial, and the success, fake
+and lossy event probabilities are short sums over n1 (and the injection
+losses) on top of that one weight. An independent Monte-Carlo simulation of
+the physical process cross-checks each of them.
 
 Quantum dot: passive (1/n per photon) or active (eta_dm per photon)
 demultiplexing of a single-photon train.
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import comb, exp, inf, lgamma, log
+from math import exp, inf, lgamma, log
 
 import numpy as np
 
@@ -109,29 +112,6 @@ def _log_comb(n: int, k: int) -> float:
     return lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)
 
 
-def spdc_number_prob(chi: float, s: int) -> float:
-    """Pair-number distribution of a two-mode squeezed state, tanh^(2s)/cosh^2."""
-    if chi < 0 or s < 0:
-        raise InvalidConfigurationError("need chi >= 0 and s >= 0")
-    if chi == 0.0:
-        return 1.0 if s == 0 else 0.0
-    th = math.tanh(chi)
-    return th ** (2 * s) / math.cosh(chi) ** 2
-
-
-def g_from_chi(chi: float) -> float:
-    """Single-pair probability g = P(1) = tanh^2(chi) / cosh^2(chi)."""
-    return spdc_number_prob(chi, 1)
-
-
-def chi_from_g(g: float) -> float:
-    """Inverse of g_from_chi on the physical branch tanh^2 <= 1/2; needs g <= 1/4."""
-    if not 0.0 <= g <= 0.25:
-        raise InvalidConfigurationError(f"g must lie in [0, 1/4] for inversion, got {g}")
-    u = (1.0 - math.sqrt(1.0 - 4.0 * g)) / 2.0  # tanh^2(chi)
-    return math.atanh(math.sqrt(u))
-
-
 def p_gen2(m: int, s: int, t: int, g: float) -> float:
     """Probability that s sources make single pairs and t make double pairs."""
     if s < 0 or t < 0 or s + t > m:
@@ -148,36 +128,42 @@ def p_gen2(m: int, s: int, t: int, g: float) -> float:
     return exp(lg)
 
 
+def _log_herald(m: int, n: int, n1: int, params: SpdcParams) -> float:
+    """Log probability that exactly n of m sources herald, n1 of them with a
+    single pair and n - n1 with a double pair.
+
+    Per source the outcomes are a triggered single (g eta_t), a triggered
+    double (g^2 eta_t2) or no click, so the counts are multinomial.
+    """
+    g, eta_t, eta_t2 = params.g, params.eta_t, params.eta_t2
+    return (
+        _log_comb(m, n)
+        + _log_comb(n, n1)
+        + _log_pow(g * eta_t, n1)
+        + _log_pow(g * g * eta_t2, n - n1)
+        + _log_pow(1.0 - g * eta_t - g * g * eta_t2, m - n)
+    )
+
+
 def p_sbs(m: int, n: int, params: SpdcParams) -> float:
     """Probability of a correct n-photon scattershot run with m sources.
 
-    n triggers click, each heralded mode injects exactly one photon (doubles
-    inject exactly one of two) and all n photons are detected.
+    n triggers click (n1 singles, n - n1 doubles), each heralded mode injects
+    exactly one photon (a double injects one of two, 2 p_in (1 - p_in)) and
+    all n photons are detected.
     """
     if not 1 <= n <= m:
         raise InvalidConfigurationError(f"need 1 <= n <= m, got n={n}, m={m}")
-    g, eta_t, p_in, eta_d = params.g, params.eta_t, params.p_in, params.eta_d
-    eta_t2 = params.eta_t2
-    total = 0.0
-    for q in range(n, m + 1):
-        for t in range(0, q + 1):
-            s = q - t
-            pg = p_gen2(m, s, t, g)
-            if pg == 0.0:
-                continue
-            inner = 0.0
-            for n1 in range(max(n - t, 0), min(s, n) + 1):
-                lt = (
-                    _log_pow(p_in * eta_t, n1)
-                    + _log_pow(2.0 * p_in * (1.0 - p_in) * eta_t2, n - n1)
-                    + _log_pow(1.0 - eta_t, s - n1)
-                    + _log_comb(s, n1)
-                    + _log_pow(1.0 - eta_t2, t - n + n1)
-                    + _log_comb(t, n - n1)
-                )
-                inner += exp(lt)
-            total += pg * inner
-    return exp(_log_pow(eta_d, n)) * total
+    p_in = params.p_in
+    total = sum(
+        exp(
+            _log_herald(m, n, n1, params)
+            + _log_pow(p_in, n1)
+            + _log_pow(2.0 * p_in * (1.0 - p_in), n - n1)
+        )
+        for n1 in range(0, n + 1)
+    )
+    return exp(_log_pow(params.eta_d, n)) * total
 
 
 def p_fake_in(n: int, n1: int, p_in: float) -> float:
@@ -214,91 +200,61 @@ def p_sbs_fake(m: int, n: int, params: SpdcParams) -> float:
     """Probability of an undetectably wrong run: n triggers and n detections
     with an injected state that differs from the heralded singles.
 
-    The closed form's output factor fixes the detection
-    combinatorics at the maximal 2n - n1 injected photons, so it carries a
-    few-percent bias against the exact process (see the Monte-Carlo oracle).
+    Sums the heralding weight over n1 < n (a run without a heralded double
+    cannot fake) times the fake-injection probability p_fake_in. The output
+    factor fixes the detection combinatorics at the maximal 2n - n1 injected
+    photons, so the closed form carries a few-percent bias against the exact
+    process (see the Monte-Carlo oracle).
     """
     if not 1 <= n <= m:
         raise InvalidConfigurationError(f"need 1 <= n <= m, got n={n}, m={m}")
-    g, eta_t, p_in, eta_d = params.g, params.eta_t, params.p_in, params.eta_d
-    eta_t2 = params.eta_t2
-    total = 0.0
-    for q in range(n, m + 1):
-        for t in range(1, q + 1):
-            s = q - t
-            pg = p_gen2(m, s, t, g)
-            if pg == 0.0:
-                continue
-            inner = 0.0
-            # n1 = n would mean no heralded pair, which cannot fake; skip it
-            for n1 in range(max(n - t, 0), min(s, n - 1) + 1):
-                pf = p_fake_in(n, n1, p_in)
-                if pf == 0.0:
-                    continue
-                lt = (
-                    _log_pow(eta_t, n1)
-                    + _log_pow(eta_t2, n - n1)
-                    + _log_pow(1.0 - eta_t, s - n1)
-                    + _log_comb(s, n1)
-                    + _log_pow(1.0 - eta_t2, t - n + n1)
-                    + _log_comb(t, n - n1)
-                    + _log_pow(eta_d, n)
-                    + _log_pow(1.0 - eta_d, n - n1)
-                    + _log_comb(2 * n - n1, n)
-                )
-                inner += pf * exp(lt)
-            total += pg * inner
-    return total
+    p_in, eta_d = params.p_in, params.eta_d
+    return sum(
+        p_fake_in(n, n1, p_in)
+        * exp(
+            _log_herald(m, n, n1, params)
+            + _log_pow(eta_d, n)
+            + _log_pow(1.0 - eta_d, n - n1)
+            + _log_comb(2 * n - n1, n)
+        )
+        for n1 in range(0, n)
+    )
 
 
 def p_sbs_lossy(m: int, n: int, n_lost: int, params: SpdcParams) -> float:
     """Probability of an n-trigger run where n_lost photons vanish.
 
-    i photons fail injection (j of them from heralded singles), the rest of
-    the deficit is lost before detection; every heralded mode injects at most
-    one photon, so the input is a subset of the heralded singles.
+    On top of the heralding weight of n1 singles and n - n1 doubles, i
+    heralded modes inject nothing (j singles failing with 1 - p_in, i - j
+    doubles with (1 - p_in)^2), the other doubles inject exactly one photon,
+    and n_lost - i of the n - i injected photons are lost before detection.
+    Every heralded mode injects at most one photon, so the input is a subset
+    of the heralded singles.
     """
     if not 0 <= n_lost < n:
         raise InvalidConfigurationError(f"need 0 <= n_lost < n, got n_lost={n_lost}, n={n}")
     if n > m:
         raise InvalidConfigurationError(f"need n <= m, got n={n}, m={m}")
-    g, eta_t, p_in, eta_d = params.g, params.eta_t, params.p_in, params.eta_d
-    eta_t2 = params.eta_t2
+    p_in, eta_d = params.p_in, params.eta_d
     total = 0.0
-    for i in range(0, n_lost + 1):
-        lpref = (
-            _log_pow(eta_d, n - n_lost)
-            + _log_pow(1.0 - eta_d, n_lost - i)
-            + _log_comb(n - i, n_lost - i)
-        )
-        if lpref == -inf:
-            continue
-        pref = exp(lpref)
-        acc = 0.0
-        for q in range(n, m + 1):
-            for t in range(0, q + 1):
-                s = q - t
-                pg = p_gen2(m, s, t, g)
-                if pg == 0.0:
-                    continue
-                inner = 0.0
-                for j in range(0, i + 1):
-                    for n1 in range(max(n - t, 0), min(s, n) + 1):
-                        lt = (
-                            (n - n1 - i + j) * log(2.0)
-                            + _log_pow(p_in, n - i)
-                            + _log_pow(1.0 - p_in, n + i - n1)
-                            + _log_pow(eta_t, n1)
-                            + _log_pow(eta_t2, n - n1)
-                            + _log_pow(1.0 - eta_t, q + t + n1 - 2 * n)
-                            + _log_comb(n1, j)
-                            + _log_comb(n - n1, i - j)
-                            + _log_comb(s, n1)
-                            + _log_comb(t, n - n1)
-                        )
-                        inner += exp(lt)
-                acc += pg * inner
-        total += pref * acc
+    for n1 in range(0, n + 1):
+        lh = _log_herald(m, n, n1, params)
+        for i in range(0, n_lost + 1):
+            lpref = (
+                lh
+                + _log_pow(eta_d, n - n_lost)
+                + _log_pow(1.0 - eta_d, n_lost - i)
+                + _log_comb(n - i, n_lost - i)
+                + _log_pow(p_in, n - i)
+                + _log_pow(1.0 - p_in, n + i - n1)
+            )
+            for j in range(0, i + 1):
+                total += exp(
+                    lpref
+                    + (n - n1 - i + j) * log(2.0)
+                    + _log_comb(n1, j)
+                    + _log_comb(n - n1, i - j)
+                )
     return total
 
 

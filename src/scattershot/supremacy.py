@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import exp, inf, lgamma, log
+from math import exp, inf, log
 
 from . import sources as src
 from .distribution import LossConfig
 from .errors import InvalidConfigurationError
+from .sources import _log_comb
 
 A_PRIME_TIANHE2 = 1.2e-14
 _LOG_MAX = math.log(1.7976931348623157e308)
@@ -26,12 +27,6 @@ GENERALIZED = "generalized"
 
 def lossy_class(k: int) -> str:
     return f"lossy{k}"
-
-
-def _log_comb(n: int, k: int) -> float:
-    if k < 0 or k > n or n < 0:
-        return -inf
-    return lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)
 
 
 def _exp_or_inf(log_value: float) -> float:

@@ -87,6 +87,44 @@ def test_tvd_family_mismatch_exit(tmp_path, capsys):
     assert "invalid-comparison" in capsys.readouterr().err
 
 
+def _distribution_csv(tmp_path, name="d.csv"):
+    path = tmp_path / name
+    main(["distribution", "--m", "4", "--seed", "2", "--input", "1:1:0:0",
+          "--renormalize", "--out", str(path)])
+    return path
+
+
+def test_tvd_rejects_reordered_states(tmp_path, capsys):
+    path = _distribution_csv(tmp_path)
+    lines = path.read_text().splitlines()
+    first = lines.index("state,probability") + 1
+    lines[first], lines[first + 1] = lines[first + 1], lines[first]
+    swapped = tmp_path / "swapped.csv"
+    swapped.write_text("\n".join(lines) + "\n")
+    assert main(["tvd", "--p", str(path), "--q", str(swapped)]) == 1
+    assert "invalid-comparison" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad_row", ["1:1:0:0", "1:1:0:0,not-a-number", "1:1:0,0.5"])
+def test_tvd_malformed_row_is_usage_error(tmp_path, capsys, bad_row):
+    path = _distribution_csv(tmp_path)
+    lines = path.read_text().splitlines()
+    lines[-1] = bad_row
+    broken = tmp_path / "broken.csv"
+    broken.write_text("\n".join(lines) + "\n")
+    assert main(["tvd", "--p", str(path), "--q", str(broken)]) == 2
+    assert "usage-error" in capsys.readouterr().err
+
+
+def test_tvd_truncated_json_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "d.json"
+    main(["distribution", "--m", "4", "--seed", "2", "--input", "1:1:0:0",
+          "--renormalize", "--format", "json", "--out", str(path)])
+    path.write_text(path.read_text()[:40])
+    assert main(["tvd", "--p", str(path), "--q", str(path)]) == 2
+    assert "usage-error" in capsys.readouterr().err
+
+
 def test_sample_deterministic(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -154,6 +192,13 @@ def test_supremacy_sweep_csv(tmp_path, spdc_config):
 
 def test_supremacy_platform_mismatch(tmp_path, spdc_config, capsys):
     assert main(["supremacy", "--platform", "mw", "--config", spdc_config,
+                 "--m-min", "10", "--m-max", "20"]) == 2
+    assert "usage-error" in capsys.readouterr().err
+
+
+def test_supremacy_platform_missing_config(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["supremacy", "--platform", "spdc", "--config", str(missing),
                  "--m-min", "10", "--m-max", "20"]) == 2
     assert "usage-error" in capsys.readouterr().err
 

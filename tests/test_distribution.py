@@ -214,6 +214,15 @@ def test_tvd_family_mismatch():
         total_variation_distance(unnorm, unnorm)
 
 
+def test_tvd_requires_matching_state_lists():
+    u = haar_random_unitary(6, 1)
+    d = full_distribution(u, [1, 1, 0, 0, 0, 0], renormalize=True)
+    order = np.arange(len(d))[::-1]
+    flipped = OutputDistribution(6, 2, d.family, d.states[order], d.probs[order], 1.0, True)
+    with pytest.raises(InvalidComparisonError):
+        total_variation_distance(d, flipped)
+
+
 def test_tvd_reference_value_bunched_input():
     # distance between 1-1-1 and 2-1-0 inputs at n=3, m=15 sits near 0.47
     vals = []

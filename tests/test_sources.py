@@ -3,14 +3,14 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from scattershot.errors import InvalidConfigurationError
 from scattershot.sources import (
     MwParams,
     QdParams,
     SpdcParams,
-    chi_from_g,
-    g_from_chi,
     monte_carlo_mw,
     monte_carlo_spdc,
     p_fake_in,
@@ -23,7 +23,6 @@ from scattershot.sources import (
     p_sbs,
     p_sbs_fake,
     p_sbs_lossy,
-    spdc_number_prob,
 )
 
 SPDC_REF = SpdcParams(g=0.02, eta_t=0.6, p_in=0.7, eta_d=0.6)
@@ -85,6 +84,30 @@ def exact_spdc_classes(m, n, params, max_lost=2):
     return out
 
 
+def fake_generation_sum(m, n, params):
+    """p_sbs_fake as an explicit sum over the generation counts (s singles,
+    t doubles) weighted by p_gen2, with binomial heralding per pair type.
+
+    Keeps the closed form's detection factor, so it checks the heralding
+    algebra of p_sbs_fake without its known bias against the process.
+    """
+    g, eta_t, p_in, eta_d = params.g, params.eta_t, params.p_in, params.eta_d
+    eta_t2 = params.eta_t2
+    total = 0.0
+    for s in range(0, m + 1):
+        for t in range(1, m - s + 1):
+            pg = p_gen2(m, s, t, g)
+            for n1 in range(max(n - t, 0), min(s, n - 1) + 1):
+                total += (
+                    pg
+                    * comb(s, n1) * eta_t**n1 * (1 - eta_t) ** (s - n1)
+                    * comb(t, n - n1) * eta_t2 ** (n - n1) * (1 - eta_t2) ** (t - n + n1)
+                    * p_fake_in(n, n1, p_in)
+                    * eta_d**n * (1 - eta_d) ** (n - n1) * comb(2 * n - n1, n)
+                )
+    return total
+
+
 def exact_mw_apparent(m, n, params):
     """Exact apparent-loss-class probabilities of the microwave process."""
     out = {}
@@ -101,21 +124,6 @@ def exact_mw_apparent(m, n, params):
 
 
 # ----------------------------------------------------------- SPDC closed forms
-
-
-def test_spdc_number_prob_edges():
-    assert spdc_number_prob(0.0, 0) == 1.0
-    assert spdc_number_prob(0.0, 3) == 0.0
-    for chi in (0.1, 0.5, 1.0):
-        total = sum(spdc_number_prob(chi, s) for s in range(51))
-        assert total == pytest.approx(1.0, abs=1e-9)
-
-
-def test_chi_g_round_trip():
-    for g in (0.0, 0.01, 0.02, 0.2, 0.249):
-        assert g_from_chi(chi_from_g(g)) == pytest.approx(g, abs=1e-12)
-    with pytest.raises(InvalidConfigurationError):
-        chi_from_g(0.3)
 
 
 def test_p_gen2_single_source_cases():
@@ -294,6 +302,36 @@ def test_p_sbs_lossy_monte_carlo_agreement():
     assert mc.lossy[1].sigmas_from(p_sbs_lossy(10, 3, 1, SPDC_REF)) < 3.0
 
 
+# values of the former (q, t)-loop closed forms at the reference parameters
+GOLDEN_SPDC = {
+    (60, 7): {
+        "success": 1.8568270341663737e-08,
+        "fake": 3.492970279986042e-08,
+        "lossy1": 1.7872629791360357e-07,
+        "lossy2": 7.372736004131874e-07,
+    },
+    (120, 10): {
+        "success": 3.70159218006046e-10,
+        "fake": 2.559487063691411e-09,
+        "lossy1": 5.0898799369258945e-09,
+        "lossy2": 3.149481204424279e-08,
+    },
+}
+
+
+@pytest.mark.parametrize("m,n", sorted(GOLDEN_SPDC))
+def test_spdc_closed_forms_golden_values(m, n):
+    want = GOLDEN_SPDC[(m, n)]
+    got = {
+        "success": p_sbs(m, n, SPDC_REF),
+        "fake": p_sbs_fake(m, n, SPDC_REF),
+        "lossy1": p_sbs_lossy(m, n, 1, SPDC_REF),
+        "lossy2": p_sbs_lossy(m, n, 2, SPDC_REF),
+    }
+    for key, value in want.items():
+        assert math.isclose(got[key], value, rel_tol=1e-12, abs_tol=0.0), key
+
+
 def test_monte_carlo_empty_source():
     mc = monte_carlo_spdc(6, 2, 1, SpdcParams(g=0.0, eta_t=0.6, p_in=0.7, eta_d=0.6),
                           20_000, 3)
@@ -438,6 +476,39 @@ def test_probabilities_stay_in_unit_interval():
                 MwParams(p_in=params.p_in, eta_d=params.eta_d, p_dark=rng.uniform(0, 0.1)),
             )
         assert 0.0 <= v <= 1.0
+
+
+unit = hst.floats(0.0, 1.0)
+spdc_params = hst.builds(
+    SpdcParams,
+    g=hst.one_of(hst.just(0.0), hst.floats(1e-4, 0.3)),
+    eta_t=unit,
+    p_in=unit,
+    eta_d=unit,
+)
+small_mn = hst.integers(1, 6).flatmap(lambda m: hst.tuples(hst.just(m), hst.integers(1, m)))
+
+
+def _close(a, b):
+    # the floor only absorbs subnormal underflow at extreme efficiencies
+    return math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-300)
+
+
+@settings(max_examples=150, deadline=None)
+@given(params=spdc_params, mn=small_mn)
+def test_p_sbs_and_lossy_match_process_oracle(params, mn):
+    m, n = mn
+    exact = exact_spdc_classes(m, n, params, max_lost=n - 1)
+    assert _close(p_sbs(m, n, params), exact["success"])
+    for k in range(1, n):
+        assert _close(p_sbs_lossy(m, n, k, params), exact[f"lossy{k}"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(params=spdc_params, mn=small_mn)
+def test_p_sbs_fake_matches_generation_sum(params, mn):
+    m, n = mn
+    assert _close(p_sbs_fake(m, n, params), fake_generation_sum(m, n, params))
 
 
 def test_p_sbs_monotone_in_efficiencies():

@@ -29,6 +29,10 @@ class UsageError(Exception):
     pass
 
 
+# largest entry of |U^H U - I| accepted for a --unitary file
+UNITARY_TOL = 1e-9
+
+
 def _default_threads() -> int:
     import os
 
@@ -168,18 +172,20 @@ def distribution_from_file(path: str) -> dstr.OutputDistribution:
     if text.lstrip().startswith("{"):
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"cannot parse distribution {path}: {exc}") from exc
-        states = np.array([st.state_from_string(s) for s in doc["states"]], dtype=np.uint8)
-        return dstr.OutputDistribution(
-            m=int(doc["m"]),
-            n_detected=int(doc["n"]),
-            family=doc["family"],
-            states=states,
-            probs=np.array(doc["probs"], dtype=np.float64),
-            raw_mass=float(doc["raw_mass"]),
-            renormalized=bool(doc["renormalized"]),
-        )
+            fields = dict(
+                m=int(doc["m"]),
+                n_detected=int(doc["n"]),
+                family=doc["family"],
+                states=np.array([st.state_from_string(s) for s in doc["states"]], dtype=np.uint8),
+                probs=np.array(doc["probs"], dtype=np.float64),
+                raw_mass=float(doc["raw_mass"]),
+                renormalized=bool(doc["renormalized"]),
+            )
+        except ScattershotError:
+            raise
+        except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
+            raise UsageError(f"cannot read distribution {path}: {exc!r}") from exc
+        return dstr.OutputDistribution(**fields)
     header = {}
     states = []
     probs = []
@@ -219,9 +225,25 @@ def distribution_from_file(path: str) -> dstr.OutputDistribution:
 # ----------------------------------------------------------- subcommands
 
 
+def _read_matrix(path: str) -> np.ndarray:
+    """Matrix JSON from `path`; unreadable, unparsable or incomplete files exit 2."""
+    try:
+        return matrix_from_json(Path(path).read_text())
+    except ScattershotError:
+        raise
+    except (OSError, ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
+        raise UsageError(f"cannot read matrix {path}: {exc!r}") from exc
+
+
 def _resolve_unitary(args) -> tuple[np.ndarray, dict]:
     if args.unitary is not None:
-        u = matrix_from_json(Path(args.unitary).read_text())
+        u = _read_matrix(args.unitary)
+        dev = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+        if dev > UNITARY_TOL:
+            raise InvalidConfigurationError(
+                f"--unitary {args.unitary} is not unitary: "
+                f"max|U^H U - I| = {dev:.3g} > {UNITARY_TOL:g}"
+            )
         return u, {"unitary": "file"}
     if args.m is None:
         raise UsageError("need --unitary FILE or --m with --seed")
@@ -230,7 +252,7 @@ def _resolve_unitary(args) -> tuple[np.ndarray, dict]:
 
 
 def cmd_permanent(args) -> int:
-    a = matrix_from_json(Path(args.matrix).read_text())
+    a = _read_matrix(args.matrix)
     if args.method == "naive":
         value = permanent_naive(a)
     elif args.partitions > 1:

@@ -88,8 +88,8 @@ def distinguishable_probability(u: np.ndarray, input_state, output_state) -> flo
 
 
 def _batch_probabilities(u, in_modes, out_modes_stack, out_occ, model) -> np.ndarray:
-    """Probabilities of every output pattern in the stack, one einsum batch."""
-    mats = u[out_modes_stack][:, :, in_modes]
+    """Probabilities of every output pattern in the stack, one batch of permanents."""
+    mats = u[out_modes_stack[:, :, None], in_modes]
     if model == INDISTINGUISHABLE:
         pers = permanents_batch(mats)
         probs = np.abs(pers) ** 2

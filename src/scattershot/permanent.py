@@ -1,21 +1,30 @@
 """Exact matrix permanents.
 
-The workhorse is Glynn's formula over 2^(n-1) sign vectors, walked in Gray
-code so each step updates the n column sums in O(n). The delta-space is split
-into fixed power-of-two segments (a function of n only); each segment seeds
-its own column sums directly and accumulates sequentially, and segment
-partials are reduced in index order. Serial and parallel evaluation therefore
-share one summation tree and return bit-identical results for any worker or
-partition count.
+Glynn's formula sums 2^(n-1) signed products of column sums, one per sign
+vector (1, d_1, ..., d_{n-1}). `_glynn_sums` builds the column sums of all
+2^r sign vectors over r rows by doubling: each sum is one subtraction away
+from one built before it, so a table costs O(n 2^r) with no Gray walk.
 
-A permutation-sum evaluator is kept as the independent small-n oracle, and a
-vectorized batch evaluator serves distribution construction where many small
-permanents of submatrices of one unitary are needed.
+A single matrix is cut into fixed segments of sign vectors, as many per
+segment as keep its temporaries within SEGMENT_BYTES (a function of n only).
+A segment fixes the signs of the top rows, builds the table of the others
+from that base, and sums its products with the sign as one more factor.
+Segment partials are reduced in index order, so serial and parallel
+evaluation share one summation tree and return bit-identical results for
+any partition count.
+
+The batch evaluator builds the whole table of a chunk of a (K, n, n) stack
+with K as the contiguous axis, in chunks sized by CHUNK_BYTES. Both
+evaluators reduce elementwise, never through BLAS.
+
+A permutation-sum evaluator is kept as the independent small-n oracle.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -24,20 +33,18 @@ import numpy as np
 
 from .errors import InsufficientDataError, InvalidDimensionError, OracleScaleExceededError
 
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dependency, guard anyway
-    numba = None
-    HAVE_NUMBA = False
-
 NAIVE_MAX_N = 10
 GLYNN_MAX_N = 30
-# at most 2^SEGMENT_BITS segments, each at least 2^SEGMENT_LEN_BITS deltas long,
-# so call overhead stays negligible against per-segment work
-SEGMENT_BITS = 6
-SEGMENT_LEN_BITS = 12
+# cap on the temporaries of one Glynn segment: large, because a segment costs
+# ~20 numpy calls whose Python overhead holds the GIL between the numpy work
+SEGMENT_BYTES = 8 << 20
+# cap on the temporaries of one batch chunk: small, because the batch streams
+# its table through memory and runs fastest when a chunk stays in cache
+CHUNK_BYTES = 2 << 20
+# numpy copies an operand through its ufunc buffer (8192 elements by default)
+# when the inner loop is much shorter than the buffer; the early doubling
+# steps have short inner loops and run faster without those copies
+UFUNC_BUFSIZE = 256
 
 
 def _require_square(a: np.ndarray) -> np.ndarray:
@@ -87,112 +94,101 @@ def permanent_naive(a: np.ndarray) -> complex:
     return total
 
 
-def _segment_bounds(n: int) -> np.ndarray:
-    """Fixed split of the 2^(n-1) delta indices into power-of-two segments.
+_local = threading.local()
 
-    Depends on n alone, so serial and parallel evaluation share one summation
-    tree. Below 2^(SEGMENT_LEN_BITS+1) deltas the whole range is one segment.
+
+def _segment_buffers(rows: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """A (rows, width) and a (width,) complex array from one per-thread buffer.
+
+    Reuse keeps repeated calls off fresh pages: a new multi-megabyte array
+    comes from mmap and faults in every page on first touch.
     """
-    bits = min(SEGMENT_BITS, max(0, n - 1 - SEGMENT_LEN_BITS))
-    n_seg = 1 << bits
-    seg_len = 1 << (n - 1 - bits)
-    return np.arange(n_seg + 1, dtype=np.int64) * seg_len
+    size = (rows + 1) * width
+    buf = getattr(_local, "buf", None)
+    if buf is None or buf.size < size:
+        buf = _local.buf = np.empty(size, np.complex128)
+    return buf[: rows * width].reshape(rows, width), buf[rows * width : size]
 
 
-def _glynn_segment_py(a: np.ndarray, start: int, stop: int) -> complex:
-    """Sum of Glynn terms for delta indices in [start, stop), Gray-code order."""
-    n = a.shape[0]
-    gray = start ^ (start >> 1)
-    col = a[0].copy()
-    for i in range(1, n):
-        if (gray >> (i - 1)) & 1:
-            col -= a[i]
-        else:
-            col += a[i]
-    sign = -1.0 if bin(gray).count("1") & 1 else 1.0
-    total = 0.0 + 0.0j
-    k = start
-    while True:
-        prod = 1.0 + 0.0j
-        for j in range(n):
-            prod *= col[j]
-        total += sign * prod
-        k += 1
-        if k >= stop:
-            return total
-        bit = (k & -k).bit_length() - 1
-        row = bit + 1
-        if (k ^ (k >> 1)) >> bit & 1:
-            col -= 2.0 * a[row]
-        else:
-            col += 2.0 * a[row]
-        sign = -sign
+@functools.lru_cache(maxsize=None)
+def _signs(bits: int) -> np.ndarray:
+    """(-1)^popcount(k) for k < 2^bits: the Glynn sign of table entry k."""
+    s = np.ones(1 << bits)
+    for i in range(bits):
+        np.negative(s[: 1 << i], out=s[1 << i : 2 << i])
+    s.flags.writeable = False
+    return s
 
 
-if HAVE_NUMBA:
+def _glynn_sums(base: np.ndarray, steps: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Glynn column sums of all 2^r sign vectors over r rows, by doubling.
 
-    @numba.njit("complex128(complex128[:, ::1], int64, int64)", cache=True, nogil=True)
-    def _glynn_segment_nb(a, start, stop):  # pragma: no cover - exercised via wrapper
-        n = a.shape[0]
-        gray = start ^ (start >> 1)
-        col = np.empty(n, dtype=np.complex128)
-        for j in range(n):
-            s = a[0, j]
-            for i in range(1, n):
-                if (gray >> (i - 1)) & 1:
-                    s -= a[i, j]
-                else:
-                    s += a[i, j]
-            col[j] = s
-        pc = 0
-        g = gray
-        while g:
-            g &= g - 1
-            pc += 1
-        sign = -1.0 if pc & 1 else 1.0
-        total = 0.0 + 0.0j
-        k = start
-        while True:
-            prod = 1.0 + 0.0j
-            for j in range(n):
-                prod *= col[j]
-            total += sign * prod
-            k += 1
-            if k >= stop:
-                return total
-            bit = 0
-            kk = k
-            while not (kk & 1):
-                kk >>= 1
-                bit += 1
-            row = bit + 1
-            if (k ^ (k >> 1)) >> bit & 1:
-                for j in range(n):
-                    col[j] -= 2.0 * a[row, j]
-            else:
-                for j in range(n):
-                    col[j] += 2.0 * a[row, j]
-            sign = -sign
-        return total
-
-    _glynn_segment = _glynn_segment_nb
-else:  # pragma: no cover
-    _glynn_segment = _glynn_segment_py
+    `base` (n, ...) is the column sum with every sign +1 and `steps`
+    (r, n, ...) holds twice each of the r rows. Entry k of `out`, of shape
+    (n, 2^r, ...), is the sum in which row i enters with sign -1 exactly
+    where bit i of k is set: the entries with top bit i are those below 2^i
+    minus steps[i], one subtraction each.
+    """
+    out[:, 0] = base
+    s = 1
+    for step in steps:
+        np.subtract(out[:, :s], step[:, None], out=out[:, s : 2 * s])
+        s *= 2
+    return out
 
 
-def permanent_glynn(a: np.ndarray) -> complex:
-    """Permanent by Glynn's 2^(n-1)-term formula with Gray-code updates."""
+def _glynn_segment(twice: np.ndarray, colsum: np.ndarray, bits: int, seg: int) -> complex:
+    """Signed Glynn products of the 2^bits sign vectors of segment `seg`.
+
+    The bits of `seg` fix the signs of the rows above `bits`; the table of
+    rows 1..bits is built from that base by doubling.
+    """
+    n = colsum.shape[0]
+    base = colsum.copy()
+    for i in range(n - 1 - bits):
+        if seg >> i & 1:
+            base -= twice[bits + 1 + i]
+    t, p = _segment_buffers(n + 1, 1 << bits)
+    t[n] = _signs(bits)
+    _glynn_sums(base, twice[1 : bits + 1], t[:n])
+    np.multiply.reduce(t, axis=0, out=p)
+    v = p.sum()
+    return -v if bin(seg).count("1") & 1 else v
+
+
+def _glynn(a: np.ndarray, partitions: int) -> complex:
     a = _require_square(a)
     n = a.shape[0]
     if n > GLYNN_MAX_N:
         raise InvalidDimensionError(f"glynn permanent capped at n={GLYNN_MAX_N}, got {n}")
     if n == 1:
         return complex(a[0, 0])
-    bounds = _segment_bounds(n)
+    # sign bits per segment: the most whose n + 2 rows of 2^bits fit SEGMENT_BYTES
+    bits = min(n - 1, (SEGMENT_BYTES // ((n + 2) * 16)).bit_length() - 1)
+    segments = range(1 << (n - 1 - bits))
+    segment = functools.partial(_glynn_segment, 2.0 * a, a.sum(axis=0), bits)
+    if partitions == 1 or len(segments) == 1:
+        old = np.setbufsize(UFUNC_BUFSIZE)
+        try:
+            partials = [segment(seg) for seg in segments]
+        finally:
+            np.setbufsize(old)
+    else:
+        with ThreadPoolExecutor(
+            max_workers=min(partitions, len(segments)),
+            initializer=np.setbufsize,
+            initargs=(UFUNC_BUFSIZE,),
+        ) as pool:
+            partials = list(pool.map(segment, segments))
     total = 0.0 + 0.0j
-    for i in range(len(bounds) - 1):
-        total += _glynn_segment(a, int(bounds[i]), int(bounds[i + 1]))
-    return total * 2.0 ** (1 - n)
+    for p in partials:  # fixed-order reduction
+        total += p
+    return complex(total * 2.0 ** (1 - n))
+
+
+def permanent_glynn(a: np.ndarray) -> complex:
+    """Permanent by Glynn's 2^(n-1)-term formula, O(n 2^n)."""
+    return _glynn(a, 1)
 
 
 def permanent_glynn_parallel(a: np.ndarray, partitions: int) -> complex:
@@ -203,62 +199,47 @@ def permanent_glynn_parallel(a: np.ndarray, partitions: int) -> complex:
     """
     if partitions < 1:
         raise InvalidDimensionError(f"partitions must be >= 1, got {partitions}")
-    a = _require_square(a)
-    n = a.shape[0]
-    if n > GLYNN_MAX_N:
-        raise InvalidDimensionError(f"glynn permanent capped at n={GLYNN_MAX_N}, got {n}")
-    if n == 1:
-        return complex(a[0, 0])
-    bounds = _segment_bounds(n)
-    n_seg = len(bounds) - 1
-    if partitions == 1 or n_seg == 1:
-        return permanent_glynn(a)
-    partials = [0.0 + 0.0j] * n_seg
-    with ThreadPoolExecutor(max_workers=min(partitions, n_seg)) as pool:
-        futures = {
-            pool.submit(_glynn_segment, a, int(bounds[i]), int(bounds[i + 1])): i
-            for i in range(n_seg)
-        }
-        for fut, i in futures.items():
-            partials[i] = fut.result()
-    total = 0.0 + 0.0j
-    for p in partials:  # fixed-order reduction
-        total += p
-    return total * 2.0 ** (1 - n)
+    return _glynn(a, partitions)
 
 
-def _delta_matrix(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """All 2^(n-1) Glynn sign vectors (first entry +1) and their products."""
-    d = 1 << (n - 1)
-    ks = np.arange(d, dtype=np.int64)[:, None]
-    bits = (ks >> np.arange(n - 1, dtype=np.int64)[None, :]) & 1
-    deltas = np.concatenate([np.ones((d, 1)), 1.0 - 2.0 * bits], axis=1)
-    signs = 1.0 - 2.0 * (np.sum(bits, axis=1) & 1)
-    return deltas, signs
-
-
-def permanents_batch(mats: np.ndarray, chunk: int = 4096) -> np.ndarray:
+def permanents_batch(mats: np.ndarray) -> np.ndarray:
     """Permanents of a (K, n, n) stack, vectorized over K.
 
-    Direct Glynn evaluation (no Gray walk): per chunk an einsum contracts the
-    sign vectors with all matrices at once. Intended for the many-small-
-    permanents pattern of distribution construction, n up to ~14.
+    Builds the whole Glynn table of a chunk of matrices at once, with K as the
+    contiguous axis, so each permanent costs O(n 2^n). Chunks are sized so the
+    temporaries stay within CHUNK_BYTES (2 MiB), or one matrix when a single
+    table is larger. Real input gives real output.
     """
     mats = np.asarray(mats)
-    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+    if mats.ndim != 3 or mats.shape[1] != mats.shape[2] or mats.shape[1] == 0:
         raise InvalidDimensionError(f"expected (K, n, n) stack, got shape {mats.shape}")
+    dtype = np.complex128 if np.iscomplexobj(mats) else np.float64
     k, n = mats.shape[0], mats.shape[1]
     if n == 1:
-        return mats[:, 0, 0].astype(np.complex128 if np.iscomplexobj(mats) else np.float64)
-    deltas, signs = _delta_matrix(n)
-    out = np.empty(k, dtype=np.complex128 if np.iscomplexobj(mats) else np.float64)
-    if not np.iscomplexobj(mats):
-        deltas = deltas.astype(np.float64)
-    for lo in range(0, k, chunk):
-        hi = min(lo + chunk, k)
-        colsums = np.einsum("di,kij->kdj", deltas, mats[lo:hi])
-        out[lo:hi] = np.prod(colsums, axis=2) @ signs
-    return out * 2.0 ** (1 - n)
+        return mats[:, 0, 0].astype(dtype)
+    width = 1 << (n - 1)
+    per_matrix = np.dtype(dtype).itemsize * ((n + 2) * width + n * n + n)
+    chunk = max(1, min(k, CHUNK_BYTES // per_matrix))
+    out = np.empty(k, dtype)
+    rows = np.empty((n, n, chunk), dtype)
+    t = np.empty((n + 1, width, chunk), dtype)
+    t[n] = _signs(n - 1)[:, None]
+    prod = np.empty((width, chunk), dtype)
+    old = np.setbufsize(UFUNC_BUFSIZE)
+    try:
+        for lo in range(0, k, chunk):
+            c = min(chunk, k - lo)
+            r, tc, pc = rows[:, :, :c], t[:, :, :c], prod[:, :c]
+            np.copyto(r, mats[lo : lo + c].transpose(1, 2, 0))
+            base = r.sum(axis=0)
+            r *= 2.0
+            _glynn_sums(base, r[1:], tc[:n])
+            np.multiply.reduce(tc, axis=0, out=pc)
+            pc.sum(axis=0, out=out[lo : lo + c])
+    finally:
+        np.setbufsize(old)
+    out *= 2.0 ** (1 - n)
+    return out
 
 
 @dataclass
@@ -290,8 +271,9 @@ def fit_timing_model(measurements) -> TimingModel:
 def measure_glynn_times(ns, seed: int = 0, repeats: int = 3):
     """Best-of-`repeats` wall times of permanent_glynn on random matrices.
 
-    Returns a list of (n, seconds). The kernel is warmed up first so JIT
-    compilation does not leak into the measurements.
+    Returns a list of (n, seconds). One small call and one untimed call per
+    size come first, so first-call costs (imports, allocator growth, cold
+    caches) stay out of the measurements.
     """
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     warm = rng.random((4, 4)) + 1j * rng.random((4, 4))

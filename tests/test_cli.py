@@ -125,6 +125,67 @@ def test_tvd_truncated_json_is_usage_error(tmp_path, capsys):
     assert "usage-error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["states", "probs", "m", "n", "family", "raw_mass", "renormalized"])
+def test_tvd_json_missing_key_is_usage_error(tmp_path, capsys, key):
+    path = tmp_path / "d.json"
+    main(["distribution", "--m", "4", "--seed", "2", "--input", "1:1:0:0",
+          "--renormalize", "--format", "json", "--out", str(path)])
+    doc = json.loads(path.read_text())
+    del doc[key]
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(doc))
+    assert main(["tvd", "--p", str(path), "--q", str(broken)]) == 2
+    assert "usage-error" in capsys.readouterr().err
+
+
+BAD_MATRIX_FILES = {
+    "unparsable": '{"m": 2, "re": [[1.0, 0.0], [0.0, 1.0]], "im": ',
+    "not-an-object": "[1, 2, 3]",
+    "no-m": '{"re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}',
+    "no-re": '{"m": 2, "im": [[0.0, 0.0], [0.0, 0.0]]}',
+    "no-im": '{"m": 2, "re": [[1.0, 0.0], [0.0, 1.0]]}',
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MATRIX_FILES))
+def test_permanent_bad_matrix_file_is_usage_error(tmp_path, capsys, case):
+    bad = tmp_path / "bad.json"
+    bad.write_text(BAD_MATRIX_FILES[case])
+    assert main(["permanent", "--matrix", str(bad)]) == 2
+    assert "usage-error" in capsys.readouterr().err
+
+
+def test_permanent_missing_matrix_file_is_usage_error(tmp_path, capsys):
+    assert main(["permanent", "--matrix", str(tmp_path / "missing.json")]) == 2
+    assert "usage-error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MATRIX_FILES))
+def test_distribution_bad_unitary_file_is_usage_error(tmp_path, capsys, case):
+    bad = tmp_path / "bad.json"
+    bad.write_text(BAD_MATRIX_FILES[case])
+    assert main(["distribution", "--unitary", str(bad), "--input", "1:0"]) == 2
+    assert "usage-error" in capsys.readouterr().err
+
+
+def test_distribution_accepts_unitary_file(tmp_path):
+    path = tmp_path / "u.json"
+    path.write_text(matrix_to_json(haar_random_unitary(4, 5)))
+    out = tmp_path / "d.csv"
+    assert main(["distribution", "--unitary", str(path), "--input", "1:1:0:0",
+                 "--out", str(out)]) == 0
+    assert distribution_from_file(str(out)).m == 4
+
+
+def test_distribution_rejects_non_unitary_file(tmp_path, capsys):
+    u = haar_random_unitary(4, 5)
+    u[0, 0] += 1e-6
+    path = tmp_path / "u.json"
+    path.write_text(matrix_to_json(u))
+    assert main(["distribution", "--unitary", str(path), "--input", "1:1:0:0"]) == 1
+    assert "invalid-configuration" in capsys.readouterr().err
+
+
 def test_sample_deterministic(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

@@ -1,7 +1,11 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+from hypothesis.extra.numpy import arrays
 
 from scattershot.errors import (
     InsufficientDataError,
@@ -9,6 +13,7 @@ from scattershot.errors import (
     OracleScaleExceededError,
 )
 from scattershot.permanent import (
+    CHUNK_BYTES,
     TimingModel,
     fit_timing_model,
     permanent_glynn,
@@ -89,10 +94,10 @@ def test_parallel_degenerate_split():
 
 def test_parallel_bit_identical_across_partitions():
     rng = np.random.default_rng(13)
-    for n in (8, 14, 16):  # one, two and eight internal segments
+    for n in (8, 14, 16, 18):  # one, one, two and eight segments
         a = random_complex(rng, n)
         base = permanent_glynn(a)
-        for partitions in (2, 4, 8):
+        for partitions in (2, 3, 4, 8):
             assert permanent_glynn_parallel(a, partitions) == base
 
 
@@ -174,3 +179,59 @@ def test_timing_model_validates():
     with pytest.raises(InsufficientDataError):
         TimingModel(a=-1.0, b=1.0)
     assert TimingModel(a=2.0, b=1.0).predict(3) == 2.0 * 3 * 8
+
+
+ENTRIES = hst.floats(-1.0, 1.0, allow_subnormal=False)
+
+
+def _matrices(k_max=1):
+    """(k, n, n) stacks of entries in [-1, 1], n <= 8, k <= k_max."""
+    sizes = hst.tuples(hst.integers(1, k_max), hst.integers(1, 8))
+    shapes = sizes.map(lambda kn: (kn[0], kn[1], kn[1]))
+    return shapes.flatmap(lambda shape: arrays(np.float64, shape, elements=ENTRIES))
+
+
+def _close_to_naive(value, a):
+    """Within 1e-10 of the oracle, relative to prod_j sum_i |a_ij|.
+
+    That product bounds every Glynn term, so rounding scales with it; |per(a)|
+    itself can be far smaller through cancellation. The 1e-300 floor only
+    covers subnormal underflow.
+    """
+    scale = np.prod(np.abs(a).sum(axis=0))
+    return abs(value - permanent_naive(a)) <= 1e-10 * max(scale, 1e-300)
+
+
+@settings(max_examples=200, deadline=None)
+@given(re=_matrices(), data=hst.data())
+def test_glynn_matches_naive_property(re, data):
+    im = data.draw(arrays(np.float64, re.shape, elements=ENTRIES))
+    for a in (re[0], re[0] + 1j * im[0]):
+        assert _close_to_naive(permanent_glynn(a), a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(re=_matrices(k_max=4), data=hst.data())
+def test_batch_matches_naive_property(re, data):
+    im = data.draw(arrays(np.float64, re.shape, elements=ENTRIES))
+    real = permanents_batch(re)
+    assert real.dtype == np.float64
+    pers = permanents_batch(re + 1j * im)
+    for i in range(re.shape[0]):
+        assert _close_to_naive(real[i], re[i])
+        assert _close_to_naive(pers[i], re[i] + 1j * im[i])
+
+
+def test_batch_temporaries_within_budget():
+    rng = np.random.default_rng(37)
+    mats = rng.random((300, 10, 10)) + 1j * rng.random((300, 10, 10))  # several chunks at n=10
+    expect = permanents_batch(mats)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = permanents_batch(mats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(out, expect)
+    assert CHUNK_BYTES // 2 < peak - before - out.nbytes <= CHUNK_BYTES

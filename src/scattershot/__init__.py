@@ -13,7 +13,6 @@ from .distribution import (
     distinguishable_probability,
     full_distribution,
     lossy_distribution,
-    lossy_distribution_combined,
     sample_events,
     total_variation_distance,
 )
@@ -49,9 +48,6 @@ from .supremacy import (
     supremacy_sweep,
     t_classical,
     t_classical_lossy,
-    t_quantum_mw,
-    t_quantum_qd,
-    t_quantum_spdc,
 )
 from .validation import (
     ValidationResult,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from . import states as st
 from . import supremacy as sup
 from . import validation as val
 from .errors import InvalidConfigurationError, ScattershotError
-from .linalg import haar_random_unitary, matrix_from_json
+from .linalg import haar_random_unitary, matrix_from_json, unitarity_defect
 from .permanent import permanent_glynn, permanent_glynn_parallel, permanent_naive
 
 
@@ -29,7 +30,7 @@ class UsageError(Exception):
     pass
 
 
-# largest entry of |U^H U - I| accepted for a --unitary file
+# largest entry of |U U^H - I| accepted for a --unitary file
 UNITARY_TOL = 1e-9
 
 
@@ -167,6 +168,30 @@ def distribution_to_csv(dist: dstr.OutputDistribution, command: str, config: dic
     return "\n".join(lines) + "\n"
 
 
+def _parse_states(texts: list, m: int, n: int, path: str) -> np.ndarray:
+    """All state strings of a distribution file as (K, m) uint8 occupations.
+
+    One pass over every row; a state that is not m non-negative integers
+    summing to n is a usage error, as is an occupation beyond uint8.
+    """
+    if not texts:
+        raise UsageError(f"distribution {path} lists no states")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # loadtxt skips blank rows; the shape check won't
+            occ = np.loadtxt(texts, delimiter=":", dtype=np.int64, ndmin=2, comments=None)
+    except (ValueError, TypeError) as exc:
+        raise UsageError(f"malformed state in distribution {path}: {exc}") from exc
+    if occ.shape != (len(texts), m):
+        raise UsageError(f"distribution {path} has a blank state or one whose length is not m={m}")
+    if occ.min() < 0 or occ.max() > np.iinfo(np.uint8).max or np.any(occ.sum(axis=1) != n):
+        raise UsageError(
+            f"distribution {path} has a state with a negative or oversized occupation "
+            f"or a photon number other than n={n}"
+        )
+    return occ.astype(np.uint8)
+
+
 def distribution_from_file(path: str) -> dstr.OutputDistribution:
     text = Path(path).read_text()
     if text.lstrip().startswith("{"):
@@ -176,18 +201,17 @@ def distribution_from_file(path: str) -> dstr.OutputDistribution:
                 m=int(doc["m"]),
                 n_detected=int(doc["n"]),
                 family=doc["family"],
-                states=np.array([st.state_from_string(s) for s in doc["states"]], dtype=np.uint8),
                 probs=np.array(doc["probs"], dtype=np.float64),
                 raw_mass=float(doc["raw_mass"]),
                 renormalized=bool(doc["renormalized"]),
             )
-        except ScattershotError:
-            raise
+            texts = list(doc["states"])
         except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
             raise UsageError(f"cannot read distribution {path}: {exc!r}") from exc
-        return dstr.OutputDistribution(**fields)
+        states = _parse_states(texts, fields["m"], fields["n_detected"], path)
+        return dstr.OutputDistribution(states=states, **fields)
     header = {}
-    states = []
+    texts = []
     probs = []
     for line in text.splitlines():
         if line.startswith("#"):
@@ -200,24 +224,24 @@ def distribution_from_file(path: str) -> dstr.OutputDistribution:
             continue
         try:
             state_s, prob_s = line.rsplit(",", 1)
-            prob = float(prob_s)
+            probs.append(float(prob_s))
         except ValueError as exc:
             raise UsageError(f"malformed distribution row {line!r} in {path}") from exc
-        states.append(st.state_from_string(state_s))
-        probs.append(prob)
+        texts.append(state_s)
     required = {"m", "n", "family", "renormalized", "raw_mass"}
     if not required <= header.keys():
         raise UsageError(f"distribution CSV header missing {required - header.keys()}")
-    m = int(header["m"])
-    if any(row.size != m for row in states):
-        raise UsageError(f"distribution CSV {path} has a state whose length is not m={m}")
+    try:
+        m, n, raw_mass = int(header["m"]), int(header["n"]), float(header["raw_mass"])
+    except ValueError as exc:
+        raise UsageError(f"malformed distribution CSV header in {path}: {exc}") from exc
     return dstr.OutputDistribution(
         m=m,
-        n_detected=int(header["n"]),
+        n_detected=n,
         family=header["family"],
-        states=np.array(states, dtype=np.uint8),
+        states=_parse_states(texts, m, n, path),
         probs=np.array(probs, dtype=np.float64),
-        raw_mass=float(header["raw_mass"]),
+        raw_mass=raw_mass,
         renormalized=header["renormalized"] == "True",
     )
 
@@ -238,11 +262,11 @@ def _read_matrix(path: str) -> np.ndarray:
 def _resolve_unitary(args) -> tuple[np.ndarray, dict]:
     if args.unitary is not None:
         u = _read_matrix(args.unitary)
-        dev = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+        dev = unitarity_defect(u)
         if dev > UNITARY_TOL:
             raise InvalidConfigurationError(
                 f"--unitary {args.unitary} is not unitary: "
-                f"max|U^H U - I| = {dev:.3g} > {UNITARY_TOL:g}"
+                f"max|U U^H - I| = {dev:.3g} > {UNITARY_TOL:g}"
             )
         return u, {"unitary": "file"}
     if args.m is None:

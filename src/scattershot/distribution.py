@@ -2,16 +2,20 @@
 
 Indistinguishable photons follow the squared-permanent rule; the
 distinguishable-particle alternative uses the permanent of the elementwise
-|u|^2 matrix. Lossy distributions average over every loss configuration
-compatible with the detected pattern: uniform over injected input subsets,
-and output loss marginalized by binning every n-photon output (bunched ones
-included) onto its photon-subset sub-patterns, renormalizing once at the end
-over the collision-free detected family.
+|u|^2 matrix. `lossy_distribution` builds every detected-pattern
+distribution: it averages over every loss configuration compatible with the
+detected pattern, uniformly over injected input subsets, and marginalizes
+output loss by binning every n-photon output (bunched ones included) onto its
+photon-subset sub-patterns, each located by its canonical rank
+(`states.collision_free_ranks`). It renormalizes once at the end over the
+collision-free detected family. Without input loss the input may be bunched;
+`detected_distribution` is that output-loss-only case.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -50,6 +54,10 @@ class OutputDistribution:
 
     def __post_init__(self):
         self.probs = np.asarray(self.probs, dtype=np.float64)
+        if self.probs.shape != (len(self.states),):
+            raise InvalidDistributionError(
+                f"{self.probs.size} probabilities for {len(self.states)} states"
+            )
         if np.any(self.probs < -1e-15):
             raise InvalidDistributionError("negative probability entry")
         self.probs = np.clip(self.probs, 0.0, None)
@@ -152,13 +160,6 @@ class LossConfig:
         return self.n_lost_in + self.n_lost_out
 
 
-def _input_subsets(heralded_modes: np.ndarray, n_keep: int):
-    """All heralded-mode subsets of size n_keep, as mode-index arrays."""
-    from itertools import combinations
-
-    return [np.array(c, dtype=np.int64) for c in combinations(heralded_modes.tolist(), n_keep)]
-
-
 def _marginal_over_output_loss(probs_n, modes_n, m, n_lost_out):
     """Bin n-photon probabilities onto their detected sub-patterns.
 
@@ -168,20 +169,18 @@ def _marginal_over_output_loss(probs_n, modes_n, m, n_lost_out):
     Only collision-free detected patterns are kept; the caller renormalizes.
     Returns raw values aligned with the canonical detected-family enumeration.
     """
-    from itertools import combinations
-
     n = modes_n.shape[1]
     n_det = n - n_lost_out
-    det_occ, det_modes = st.enumerate_states(m, n_det, st.COLLISION_FREE)
-    index = {tuple(row.tolist()): i for i, row in enumerate(det_modes)}
-    out = np.zeros(det_modes.shape[0], dtype=np.float64)
-    weight = 1.0 / math.comb(n, n_lost_out)
-    for p, row in zip(probs_n, modes_n):
-        mods = row.tolist()
-        for keep in combinations(mods, n_det):
-            hit = index.get(keep)
-            if hit is not None:  # mode repeats in `keep` mean a collision survived
-                out[hit] += p * weight
+    det_occ, _ = st.enumerate_states(m, n_det, st.COLLISION_FREE)
+    kept = list(combinations(range(n), n_det))
+    ranks = np.empty((modes_n.shape[0], len(kept)), dtype=np.int64)
+    for j, cols in enumerate(kept):
+        ranks[:, j] = st.collision_free_ranks(modes_n[:, cols], m)
+    # row-major selection adds each output's sub-patterns in output order, then
+    # subset order; -1 marks a sub-pattern in which a collision survived
+    hit = ranks >= 0
+    weights = np.broadcast_to((probs_n * (1.0 / math.comb(n, n_lost_out)))[:, None], ranks.shape)
+    out = np.bincount(ranks[hit], weights=weights[hit], minlength=det_occ.shape[0])
     return det_occ, out
 
 
@@ -194,32 +193,12 @@ def detected_distribution(
 ) -> OutputDistribution:
     """Collision-free detected patterns after n_lost_out photons vanish at the output.
 
-    The full Fock family of n-photon outputs (bunched ones included) feeds the
-    marginalization, since a collided output that loses the right photon still
-    yields a collision-free click pattern.
+    The input may be bunched; this is lossy_distribution with output loss only.
     """
-    m = u.shape[0]
     n = photon_number(input_state)
     if not 0 < n_lost_out < n:
         raise InvalidConfigurationError(f"need 0 < n_lost_out < n, got {n_lost_out}, n={n}")
-    occ, modes = st.enumerate_states(m, n, st.FULL_FOCK, cap=cap)
-    probs = _batch_probabilities(u, mode_indices(input_state), modes, occ, model)
-    det_occ, raw = _marginal_over_output_loss(probs, modes, m, n_lost_out)
-    mass = float(raw.sum())
-    return OutputDistribution(
-        m=m,
-        n_detected=n - n_lost_out,
-        family=st.COLLISION_FREE,
-        states=det_occ,
-        probs=raw / mass,
-        raw_mass=mass,
-        renormalized=True,
-        meta={
-            "model": model,
-            "input": tuple(int(x) for x in np.asarray(input_state)),
-            "loss": (0, n_lost_out),
-        },
-    )
+    return lossy_distribution(u, input_state, LossConfig(0, n_lost_out), model=model, cap=cap)
 
 
 def lossy_distribution(
@@ -234,12 +213,15 @@ def lossy_distribution(
     n_her photons are heralded, loss.n_lost_in are lost before the
     interferometer (uniform over the C(n_her, n_lost_in) injected subsets) and
     loss.n_lost_out of the propagated photons are lost before detection
-    (marginalized over supersets). The result is renormalized over the
-    collision-free detected family.
+    (marginalized over supersets). The full Fock family of propagated outputs
+    (bunched ones included) feeds that marginalization, since a collided output
+    that loses the right photon still yields a collision-free click pattern.
+    The heralded state may be bunched only when no photon is lost at the
+    input. The result is renormalized over the collision-free detected family.
     """
     her = np.asarray(heralded_state)
-    if np.any(her > 1):
-        raise InvalidConfigurationError("heralded state must be collision-free")
+    if loss.n_lost_in > 0 and np.any(her > 1):
+        raise InvalidConfigurationError("heralded state must be collision-free under input loss")
     m = u.shape[0]
     n_her = photon_number(her)
     if loss.total >= n_her:
@@ -249,15 +231,12 @@ def lossy_distribution(
     n = n_her - loss.n_lost_in
     n_det = n - loss.n_lost_out
 
-    # collision-free family when detection is direct; all bunched outputs count
-    # as loss marginalization parents when photons vanish at the output
     family = st.COLLISION_FREE if loss.n_lost_out == 0 else st.FULL_FOCK
     occ_n, modes_n = st.enumerate_states(m, n, family, cap=cap)
-    heralded_modes = mode_indices(her)
+    subsets = list(combinations(mode_indices(her).tolist(), n))
     acc = np.zeros(modes_n.shape[0], dtype=np.float64)
-    subsets = _input_subsets(heralded_modes, n)
     for sub in subsets:
-        acc += _batch_probabilities(u, sub, modes_n, occ_n, model)
+        acc += _batch_probabilities(u, np.array(sub, dtype=np.int64), modes_n, occ_n, model)
     acc /= len(subsets)
 
     if loss.n_lost_out > 0:
@@ -277,53 +256,6 @@ def lossy_distribution(
             "model": model,
             "heralded": tuple(int(x) for x in her),
             "loss": (loss.n_lost_in, loss.n_lost_out),
-        },
-    )
-
-
-def lossy_distribution_combined(
-    u: np.ndarray,
-    heralded_state,
-    n_lost: int,
-    model: str = INDISTINGUISHABLE,
-    split_weights=None,
-    cap: int = st.DEFAULT_STATE_CAP,
-) -> OutputDistribution:
-    """Loss-location-unknown distribution: mixture over all (in, out) splits.
-
-    Splits (k, n_lost - k) for k = 0..n_lost are averaged with the given
-    weights (uniform by default), each split contributing its renormalized
-    detected-pattern distribution.
-    """
-    if n_lost < 1:
-        raise InvalidConfigurationError("combined loss needs n_lost >= 1")
-    weights = np.full(n_lost + 1, 1.0 / (n_lost + 1)) if split_weights is None else np.asarray(
-        split_weights, dtype=np.float64
-    )
-    if weights.size != n_lost + 1 or np.any(weights < 0) or weights.sum() <= 0:
-        raise InvalidConfigurationError("need one non-negative weight per loss split")
-    weights = weights / weights.sum()
-    mix = None
-    ref = None
-    for k in range(n_lost + 1):
-        part = lossy_distribution(
-            u, heralded_state, LossConfig(k, n_lost - k), model=model, cap=cap
-        )
-        mix = weights[k] * part.probs if mix is None else mix + weights[k] * part.probs
-        ref = part
-    return OutputDistribution(
-        m=ref.m,
-        n_detected=ref.n_detected,
-        family=ref.family,
-        states=ref.states,
-        probs=mix,
-        raw_mass=1.0,
-        renormalized=True,
-        meta={
-            "model": model,
-            "heralded": tuple(int(x) for x in np.asarray(heralded_state)),
-            "n_lost": n_lost,
-            "split_weights": weights.tolist(),
         },
     )
 

@@ -48,10 +48,6 @@ def photon_number(state) -> int:
     return int(np.sum(state))
 
 
-def is_collision_free(state) -> bool:
-    return bool(np.all(np.asarray(state) <= 1))
-
-
 def mode_indices(state) -> np.ndarray:
     """Flatten an occupation vector into repeated mode indices, ascending.
 
@@ -61,10 +57,6 @@ def mode_indices(state) -> np.ndarray:
     if np.any(occ < 0):
         raise InvalidConfigurationError("occupations must be non-negative")
     return np.repeat(np.arange(occ.size), occ)
-
-
-def state_from_modes(modes, m: int) -> np.ndarray:
-    return np.bincount(np.asarray(modes, dtype=np.int64), minlength=m).astype(np.uint8)
 
 
 def build_submatrix(u: np.ndarray, input_state, output_state) -> np.ndarray:

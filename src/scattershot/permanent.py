@@ -273,19 +273,21 @@ def measure_glynn_times(ns, seed: int = 0, repeats: int = 3):
 
     Returns a list of (n, seconds). One small call and one untimed call per
     size come first, so first-call costs (imports, allocator growth, cold
-    caches) stay out of the measurements.
+    caches) stay out of the measurements. Each of the `repeats` rounds then
+    times every size once, so a short burst of outside load spoils one
+    sample of a few sizes rather than every sample of one size.
     """
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     warm = rng.random((4, 4)) + 1j * rng.random((4, 4))
     permanent_glynn(warm)
-    out = []
-    for n in ns:
-        a = rng.random((n, n)) + 1j * rng.random((n, n))
+    ns = [int(n) for n in ns]
+    mats = [rng.random((n, n)) + 1j * rng.random((n, n)) for n in ns]
+    for a in mats:
         permanent_glynn(a)  # untimed pre-pass per size
-        best = math.inf
-        for _ in range(repeats):
+    best = [math.inf] * len(ns)
+    for _ in range(repeats):
+        for i, a in enumerate(mats):
             t0 = time.perf_counter()
             permanent_glynn(a)
-            best = min(best, time.perf_counter() - t0)
-        out.append((int(n), best))
-    return out
+            best[i] = min(best[i], time.perf_counter() - t0)
+    return list(zip(ns, best))

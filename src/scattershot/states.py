@@ -53,6 +53,23 @@ def enumerate_states(m: int, n: int, family: str, cap: int = DEFAULT_STATE_CAP):
     return occ, modes
 
 
+def collision_free_ranks(modes, m: int) -> np.ndarray:
+    """Position of each mode row in the collision-free enumerate_states order.
+
+    modes: (K, k) mode indices, ascending within each row. A row whose modes
+    are c_0 < ... < c_{k-1} sits at sum_i C(m-1-c_i, k-i) (the combinatorial
+    number system); a row with a repeated mode gets -1.
+    """
+    modes = np.asarray(modes)
+    k = modes.shape[1]
+    table = np.array([[comb(v, k - i) for v in range(m)] for i in range(k)], dtype=np.int64)
+    ranks = np.zeros(modes.shape[0], dtype=np.int64)
+    for i in range(k):
+        ranks += table[i, m - 1 - modes[:, i]]
+    ranks[np.any(modes[:, 1:] == modes[:, :-1], axis=1)] = -1
+    return ranks
+
+
 def state_to_string(state) -> str:
     return ":".join(str(int(k)) for k in state)
 

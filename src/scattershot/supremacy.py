@@ -80,58 +80,6 @@ def t_classical_lossy_either(m: int, n_triggered: int, n_lost: int, a_prime: flo
     return total / (n_lost + 1)
 
 
-def t_quantum_spdc(
-    m: int, n: int, params: src.SpdcParams, include_lossy_up_to: int = 0
-) -> float:
-    """Mean wait for an n-trigger scattershot event, successful or lossy."""
-    p = src.p_sbs(m, n, params)
-    for k in range(1, include_lossy_up_to + 1):
-        p += src.p_sbs_lossy(m, n, k, params)
-    if p <= 0.0:
-        return inf
-    return 1.0 / (params.pump_rate * p)
-
-
-def t_quantum_qd(
-    n_array: int,
-    i: int,
-    params: src.QdParams,
-    demux: str,
-    rep_rate: float,
-    include_lossy_one: bool = False,
-) -> float:
-    """Mean wait for a quantum-dot run of i photons at the given pulse rate."""
-    if rep_rate <= 0:
-        raise InvalidConfigurationError("rep_rate must be positive")
-    p = src.p_qd(n_array, i, params, demux)
-    if include_lossy_one:
-        p += src.p_qd_lossy_one(n_array, i, params, demux)
-    if p <= 0.0:
-        return inf
-    return 1.0 / (rep_rate * p)
-
-
-def t_quantum_mw(
-    m: int,
-    n: int,
-    params: src.MwParams,
-    include_lossy_up_to: int = 0,
-    include_dark: bool = False,
-) -> float:
-    """Mean wait for a microwave run; the rate is bounded by (m t_step)^-1."""
-    if m < 1:
-        raise InvalidConfigurationError("need m >= 1")
-    p = src.p_mw_lossy(n, 0, params)
-    for k in range(1, include_lossy_up_to + 1):
-        if include_dark:
-            p += src.p_mw_lossy_dark(m, n, k, params)
-        else:
-            p += src.p_mw_lossy(n, k, params)
-    if p <= 0.0:
-        return inf
-    return m * params.t_step / p
-
-
 @dataclass
 class SupremacyPoint:
     """One sweep sample: ensemble-averaged t_c, per-event t_q and their ratio."""

@@ -1,9 +1,23 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
-from scattershot.cli import build_parser, distribution_from_file, main
+from scattershot import states as st
+from scattershot.cli import (
+    UsageError,
+    _parse_states,
+    build_parser,
+    distribution_from_file,
+    distribution_to_csv,
+    distribution_to_json,
+    main,
+)
+from scattershot.distribution import OutputDistribution, detected_distribution
 from scattershot.linalg import haar_random_unitary, matrix_to_json
 
 
@@ -136,6 +150,141 @@ def test_tvd_json_missing_key_is_usage_error(tmp_path, capsys, key):
     broken.write_text(json.dumps(doc))
     assert main(["tvd", "--p", str(path), "--q", str(broken)]) == 2
     assert "usage-error" in capsys.readouterr().err
+
+
+# one state of the m=4, n=2 test distribution replaced by each of these
+BAD_STATES = {
+    "short": "1:1:0",
+    "long": "1:1:0:0:0",
+    "negative": "3:-1:0:0",
+    "photon-number": "1:1:1:0",
+    "wraps-uint8": "258:0:0:0",
+    "not-an-integer": "1:1.0:0:0",
+    "empty-token": "1::1:0",
+}
+
+
+def _corrupt_distribution(tmp_path, fmt, state):
+    path = tmp_path / f"d.{fmt}"
+    main(["distribution", "--m", "4", "--seed", "2", "--input", "1:1:0:0",
+          "--renormalize", "--format", fmt, "--out", str(path)])
+    broken = tmp_path / f"broken.{fmt}"
+    if fmt == "json":
+        doc = json.loads(path.read_text())
+        doc["states"][-1] = state
+        broken.write_text(json.dumps(doc))
+    else:
+        lines = path.read_text().splitlines()
+        lines[-1] = f"{state},{lines[-1].rsplit(',', 1)[1]}"
+        broken.write_text("\n".join(lines) + "\n")
+    return broken
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", sorted(BAD_STATES))
+def test_tvd_bad_state_is_usage_error(tmp_path, capsys, fmt, case):
+    broken = _corrupt_distribution(tmp_path, fmt, BAD_STATES[case])
+    assert main(["tvd", "--p", str(broken), "--q", str(broken)]) == 2
+    assert "usage-error" in capsys.readouterr().err
+
+
+def test_tvd_json_states_all_short_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "d.json"
+    main(["distribution", "--m", "4", "--seed", "2", "--input", "1:1:0:0",
+          "--renormalize", "--format", "json", "--out", str(path)])
+    doc = json.loads(path.read_text())
+    doc["states"] = [state.rsplit(":", 1)[0] for state in doc["states"]]
+    path.write_text(json.dumps(doc))
+    assert main(["tvd", "--p", str(path), "--q", str(path)]) == 2
+    assert "usage-error" in capsys.readouterr().err
+
+
+def test_tvd_occupation_beyond_uint8_is_usage_error(tmp_path, capsys):
+    # 300 photons in one mode sum to n=300 but would wrap to 44 as uint8
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps({"m": 4, "n": 300, "family": "full-fock", "raw_mass": 1.0,
+                                "renormalized": True, "states": ["300:0:0:0"],
+                                "probs": [1.0]}))
+    assert main(["tvd", "--p", str(path), "--q", str(path)]) == 2
+    assert "usage-error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("states", [[], [1, 1], "1:1:0:0"])
+def test_tvd_json_states_not_a_list_of_strings_is_usage_error(tmp_path, capsys, states):
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps({"m": 4, "n": 2, "family": "collision-free", "raw_mass": 1.0,
+                                "renormalized": True, "states": states, "probs": [1.0]}))
+    assert main(["tvd", "--p", str(path), "--q", str(path)]) == 2
+    assert "usage-error" in capsys.readouterr().err
+
+
+def test_tvd_json_probs_count_mismatch_exits_1(tmp_path, capsys):
+    path = tmp_path / "d.json"
+    main(["distribution", "--m", "4", "--seed", "2", "--input", "1:1:0:0",
+          "--renormalize", "--format", "json", "--out", str(path)])
+    doc = json.loads(path.read_text())
+    doc["probs"].append(0.0)
+    path.write_text(json.dumps(doc))
+    assert main(["tvd", "--p", str(path), "--q", str(path)]) == 1
+    assert "invalid-distribution" in capsys.readouterr().err
+
+
+def test_tvd_malformed_csv_header_is_usage_error(tmp_path, capsys):
+    path = _distribution_csv(tmp_path)
+    path.write_text(path.read_text().replace(" m=4 ", " m=four "))
+    assert main(["tvd", "--p", str(path), "--q", str(path)]) == 2
+    assert "usage-error" in capsys.readouterr().err
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=hst.integers(1, 6), n=hst.integers(1, 3),
+       family=hst.sampled_from([st.COLLISION_FREE, st.FULL_FOCK]), data=hst.data())
+def test_distribution_file_round_trip_property(m, n, family, data):
+    if family == st.COLLISION_FREE and n > m:
+        family = st.FULL_FOCK
+    occ, _ = st.enumerate_states(m, n, family)
+    weights = data.draw(hst.lists(hst.floats(0.0, 1.0), min_size=len(occ), max_size=len(occ)))
+    probs = np.array(weights) + 1e-3
+    probs /= probs.sum()
+    dist = OutputDistribution(m, n, family, occ, probs, float(probs.sum()), False)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, write in (("d.csv", distribution_to_csv), ("d.json", distribution_to_json)):
+            path = Path(tmp) / name
+            path.write_text(write(dist, "distribution", {}))
+            back = distribution_from_file(str(path))
+            assert (back.m, back.n_detected, back.family) == (m, n, family)
+            assert np.array_equal(back.states, occ)
+            assert np.array_equal(back.probs, dist.probs)
+            assert back.raw_mass == dist.raw_mass
+
+
+@settings(max_examples=200, deadline=None)
+@given(texts=hst.lists(hst.text(alphabet="0123456789:-+ .x", max_size=12), max_size=4),
+       m=hst.integers(1, 4), n=hst.integers(1, 4))
+def test_parse_states_accepts_only_valid_rows_property(texts, m, n):
+    try:
+        occ = _parse_states(texts, m, n, "generated")
+    except UsageError:
+        return
+    assert occ.shape == (len(texts), m) and occ.dtype == np.uint8
+    assert np.all(occ.sum(axis=1) == n)
+
+
+def test_distribution_bunched_input_with_output_loss(tmp_path):
+    out = tmp_path / "d.json"
+    assert main(["distribution", "--m", "6", "--seed", "4", "--input", "2:1:1:0:0:0",
+                 "--loss-out", "1", "--format", "json", "--out", str(out)]) == 0
+    u = haar_random_unitary(6, np.random.SeedSequence(4).spawn(2)[0])
+    want = detected_distribution(u, [2, 1, 1, 0, 0, 0], 1)
+    got = distribution_from_file(str(out))
+    assert np.array_equal(got.states, want.states)
+    assert np.array_equal(got.probs, want.probs)
+
+
+def test_distribution_bunched_input_with_input_loss_exits_1(capsys):
+    assert main(["distribution", "--m", "6", "--seed", "4", "--input", "2:1:1:0:0:0",
+                 "--loss-in", "1", "--loss-out", "1"]) == 1
+    assert "invalid-configuration" in capsys.readouterr().err
 
 
 BAD_MATRIX_FILES = {

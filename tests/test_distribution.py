@@ -10,12 +10,13 @@ from scattershot.distribution import (
     INDISTINGUISHABLE,
     LossConfig,
     OutputDistribution,
+    _batch_probabilities,
+    _marginal_over_output_loss,
     bs_probability,
     detected_distribution,
     distinguishable_probability,
     full_distribution,
     lossy_distribution,
-    lossy_distribution_combined,
     sample_events,
     total_variation_distance,
 )
@@ -152,6 +153,51 @@ def test_detected_distribution_matches_lossy_path():
     assert np.allclose(via_lossy.probs, direct.probs, atol=1e-12)
 
 
+def _marginal_row_by_row(probs_n, modes_n, m, n_lost_out):
+    """Reference output-loss binning: one dict lookup per (output, kept-photon subset)."""
+    n = modes_n.shape[1]
+    n_det = n - n_lost_out
+    det_occ, det_modes = st.enumerate_states(m, n_det, st.COLLISION_FREE)
+    index = {tuple(row.tolist()): i for i, row in enumerate(det_modes)}
+    out = np.zeros(det_modes.shape[0], dtype=np.float64)
+    weight = 1.0 / math.comb(n, n_lost_out)
+    for p, row in zip(probs_n, modes_n):
+        for keep in itertools.combinations(row.tolist(), n_det):
+            hit = index.get(keep)
+            if hit is not None:
+                out[hit] += p * weight
+    return det_occ, out
+
+
+@pytest.mark.parametrize("n_lost_out", [1, 2])
+@pytest.mark.parametrize("model", [INDISTINGUISHABLE, DISTINGUISHABLE])
+@pytest.mark.parametrize("inp", [[1, 1, 1, 1, 0, 0, 0, 0, 0], [2, 1, 0, 1, 0, 0, 0, 0, 0]])
+def test_output_loss_binning_matches_row_by_row_reference(n_lost_out, model, inp):
+    m = len(inp)
+    u = haar_random_unitary(m, 17)
+    occ, modes = st.enumerate_states(m, 4, st.FULL_FOCK)
+    probs = _batch_probabilities(u, mode_indices(inp), modes, occ, model)
+    want_occ, want = _marginal_row_by_row(probs, modes, m, n_lost_out)
+    got_occ, got = _marginal_over_output_loss(probs, modes, m, n_lost_out)
+    assert np.array_equal(got_occ, want_occ)
+    assert np.array_equal(got, want)
+    d = lossy_distribution(u, inp, LossConfig(0, n_lost_out), model=model)
+    assert np.array_equal(d.probs, want / want.sum())
+
+
+def test_detected_distribution_needs_output_loss():
+    u = haar_random_unitary(5, 4)
+    for n_lost_out in (0, 3):
+        with pytest.raises(InvalidConfigurationError):
+            detected_distribution(u, [1, 1, 1, 0, 0], n_lost_out)
+
+
+def test_probabilities_must_match_states():
+    occ, _ = st.enumerate_states(4, 2, st.COLLISION_FREE)
+    with pytest.raises(InvalidDistributionError):
+        OutputDistribution(4, 2, st.COLLISION_FREE, occ, np.full(5, 0.2), 1.0, True)
+
+
 def test_lossy_normalization_and_errors():
     u = haar_random_unitary(7, 21)
     for loss in (LossConfig(1, 0), LossConfig(0, 1), LossConfig(1, 1)):
@@ -161,17 +207,6 @@ def test_lossy_normalization_and_errors():
         lossy_distribution(u, [1, 1, 0, 0, 0, 0, 0], LossConfig(1, 1))
     with pytest.raises(InvalidConfigurationError):
         lossy_distribution(u, [2, 1, 0, 0, 0, 0, 0], LossConfig(1, 0))
-
-
-def test_combined_loss_is_split_mixture():
-    u = haar_random_unitary(6, 33)
-    her = [1, 1, 1, 0, 0, 0]
-    mix = lossy_distribution_combined(u, her, 1)
-    p_in = lossy_distribution(u, her, LossConfig(1, 0))
-    p_out = lossy_distribution(u, her, LossConfig(0, 1))
-    assert np.allclose(mix.probs, 0.5 * p_in.probs + 0.5 * p_out.probs, atol=1e-12)
-    weighted = lossy_distribution_combined(u, her, 1, split_weights=[1.0, 0.0])
-    assert np.allclose(weighted.probs, p_in.probs, atol=1e-12)
 
 
 def test_tvd_basics():

@@ -7,6 +7,7 @@ from scattershot.errors import InstanceTooLargeError, InvalidConfigurationError
 from scattershot.states import (
     COLLISION_FREE,
     FULL_FOCK,
+    collision_free_ranks,
     count_states,
     enumerate_states,
     state_from_string,
@@ -43,6 +44,21 @@ def test_modes_match_occupations():
         for j in row:
             rebuilt[i, j] += 1
     assert np.array_equal(rebuilt, occ)
+
+
+@pytest.mark.parametrize("m,k", [(1, 1), (5, 1), (5, 5), (6, 3), (12, 4), (20, 5), (30, 2)])
+def test_collision_free_ranks_follow_enumeration_order(m, k):
+    _, modes = enumerate_states(m, k, COLLISION_FREE)
+    assert np.array_equal(collision_free_ranks(modes, m), np.arange(modes.shape[0]))
+
+
+def test_collision_free_ranks_mark_repeated_modes():
+    occ, modes = enumerate_states(6, 3, FULL_FOCK)
+    ranks = collision_free_ranks(modes, 6)
+    bunched = occ.max(axis=1) > 1
+    assert np.all(ranks[bunched] == -1)
+    cf_occ, _ = enumerate_states(6, 3, COLLISION_FREE)
+    assert np.array_equal(cf_occ[ranks[~bunched]], occ[~bunched])
 
 
 def test_cap_enforced():

@@ -22,9 +22,6 @@ from scattershot.supremacy import (
     t_classical,
     t_classical_lossy,
     t_classical_lossy_either,
-    t_quantum_mw,
-    t_quantum_qd,
-    t_quantum_spdc,
 )
 
 SPDC_REF = SpdcParams(g=0.02, eta_t=0.6, p_in=0.7, eta_d=0.6, pump_rate=8.0e7)
@@ -83,32 +80,6 @@ def test_t_classical_lossy_either_averages_splits():
         m, 4, LossConfig(0, 1)
     )
     assert t_classical_lossy_either(m, n_trig, 1, 1.2e-14) == pytest.approx(by_hand, rel=1e-12)
-
-
-def test_t_quantum_spdc_structure():
-    from scattershot.sources import p_sbs, p_sbs_lossy
-
-    base = t_quantum_spdc(10, 3, SPDC_REF, include_lossy_up_to=0)
-    assert base == pytest.approx(1.0 / (SPDC_REF.pump_rate * p_sbs(10, 3, SPDC_REF)), rel=1e-12)
-    fuller = t_quantum_spdc(10, 3, SPDC_REF, include_lossy_up_to=2)
-    assert fuller < t_quantum_spdc(10, 3, SPDC_REF, include_lossy_up_to=1) < base
-
-
-def test_t_quantum_qd_identities():
-    perfect = QdParams(eta=1.0, eta_dm=1.0, p_in=1.0, eta_d=1.0)
-    assert t_quantum_qd(5, 5, perfect, "active", 1e6) == pytest.approx(1e-6, rel=1e-12)
-    params = QdParams(eta=0.35, eta_dm=0.7, p_in=0.7, eta_d=0.6)
-    ratio = t_quantum_qd(5, 5, params, "passive", 1e6) / t_quantum_qd(5, 5, params, "active", 1e6)
-    assert ratio == pytest.approx((0.7 * 5) ** 5, rel=1e-12)
-
-
-def test_t_quantum_mw_identities():
-    perfect = MwParams(p_in=1.0, eta_d=1.0, p_dark=0.0, t_step=0.3e-6)
-    assert t_quantum_mw(40, 5, perfect) == pytest.approx(40 * 0.3e-6, rel=1e-12)
-    assert t_quantum_mw(80, 5, perfect) == pytest.approx(2 * t_quantum_mw(40, 5, perfect),
-                                                         rel=1e-12)
-    dead = MwParams(p_in=0.0, eta_d=1.0, p_dark=0.0)
-    assert t_quantum_mw(10, 3, dead) == inf
 
 
 def test_photon_policies():

@@ -150,8 +150,8 @@ def distribution_to_json(dist: dstr.OutputDistribution, command: str, config: di
         "family": dist.family,
         "renormalized": dist.renormalized,
         "raw_mass": dist.raw_mass,
-        "states": [st.state_to_string(row) for row in dist.states],
-        "probs": [float(p) for p in dist.probs],
+        "states": st.format_states(dist.states),
+        "probs": dist.probs.tolist(),
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -163,8 +163,11 @@ def distribution_to_csv(dist: dstr.OutputDistribution, command: str, config: dic
         f"renormalized={dist.renormalized} raw_mass={_fmt(dist.raw_mass)}"
     )
     lines.append("state,probability")
-    for row, p in zip(dist.states, dist.probs):
-        lines.append(f"{st.state_to_string(row)},{_fmt(p)}")
+    for start in range(0, len(dist), st.FORMAT_CHUNK):
+        rows = slice(start, start + st.FORMAT_CHUNK)
+        texts = st.format_states(dist.states[rows])
+        # one string per chunk: no K-long list of small line strings
+        lines.append("\n".join(f"{s},{p!r}" for s, p in zip(texts, dist.probs[rows].tolist())))
     return "\n".join(lines) + "\n"
 
 
@@ -294,6 +297,9 @@ def _build_distribution(args, u):
             f"input state length {input_state.size} != unitary dimension {u.shape[0]}"
         )
     if args.loss_in or args.loss_out:
+        if args.family == st.FULL_FOCK:
+            raise UsageError("--family full-fock cannot be combined with --loss-in/--loss-out: "
+                             "lossy distributions are over collision-free detected patterns")
         return dstr.lossy_distribution(
             u, input_state, dstr.LossConfig(args.loss_in, args.loss_out), model=args.model
         )
@@ -333,7 +339,7 @@ def cmd_sample(args) -> int:
               "seed": args.seed, "loss_in": args.loss_in, "loss_out": args.loss_out}
     lines = _meta_lines("sample", config)
     lines.append("event")
-    lines.extend(st.state_to_string(row) for row in events)
+    lines.extend(st.format_states(events))
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 

@@ -7,7 +7,7 @@ distribution: it averages over every loss configuration compatible with the
 detected pattern, uniformly over injected input subsets, and marginalizes
 output loss by binning every n-photon output (bunched ones included) onto its
 photon-subset sub-patterns, each located by its canonical rank
-(`states.collision_free_ranks`). It renormalizes once at the end over the
+(`states.state_ranks`). It renormalizes once at the end over the
 collision-free detected family. Without input loss the input may be bunched;
 `detected_distribution` is that output-loss-only case.
 """
@@ -73,11 +73,33 @@ class OutputDistribution:
         return {tuple(int(x) for x in row): float(p) for row, p in zip(self.states, self.probs)}
 
     def index_of(self, state) -> int:
-        key = np.asarray(state, dtype=np.uint8)
-        hits = np.nonzero(np.all(self.states == key, axis=1))[0]
-        if hits.size != 1:
-            raise InvalidConfigurationError(f"state {tuple(state)} not in family")
-        return int(hits[0])
+        return int(self.indices_of([state])[0])
+
+    def indices_of(self, events) -> np.ndarray:
+        """Row of each occupation vector in `states`, located by its canonical rank.
+
+        An event outside the family, or a distribution whose row at that rank
+        holds another state (a file need not list states in canonical order),
+        raises InvalidConfigurationError.
+        """
+        ev = np.asarray(events, dtype=np.int64)
+        if ev.size == 0:
+            ev = ev.reshape(0, self.m)
+        if ev.ndim != 2 or ev.shape[1] != self.m or ev.min(initial=0) < 0:
+            raise InvalidConfigurationError(f"events must be non-negative rows of length {self.m}")
+        bad = ev.sum(axis=1) != self.n_detected
+        if np.any(bad):
+            raise InvalidConfigurationError(
+                f"state {tuple(ev[bad][0].tolist())} has a photon number other than "
+                f"n={self.n_detected}"
+            )
+        modes = np.repeat(np.tile(np.arange(self.m), len(ev)), ev.ravel())
+        idx = st.state_ranks(modes.reshape(len(ev), self.n_detected), self.m, self.family)
+        ok = (idx >= 0) & (idx < len(self.states))
+        ok[ok] = np.all(self.states[idx[ok]] == ev[ok], axis=1)
+        if not np.all(ok):
+            raise InvalidConfigurationError(f"state {tuple(ev[~ok][0].tolist())} not in family")
+        return idx
 
 
 def bs_probability(u: np.ndarray, input_state, output_state) -> float:
@@ -119,14 +141,13 @@ def full_distribution(
     family: str = st.COLLISION_FREE,
     model: str = INDISTINGUISHABLE,
     renormalize: bool = False,
-    cap: int = st.DEFAULT_STATE_CAP,
 ) -> OutputDistribution:
     """Exact output distribution of one input state over a whole family."""
     m = u.shape[0]
     n = photon_number(input_state)
     if n < 1:
         raise InvalidConfigurationError("need at least one photon")
-    occ, modes = st.enumerate_states(m, n, family, cap=cap)
+    occ, modes = st.enumerate_states(m, n, family)
     in_modes = mode_indices(input_state)
     probs = _batch_probabilities(u, in_modes, modes, occ, model)
     raw = float(probs.sum())
@@ -175,7 +196,7 @@ def _marginal_over_output_loss(probs_n, modes_n, m, n_lost_out):
     kept = list(combinations(range(n), n_det))
     ranks = np.empty((modes_n.shape[0], len(kept)), dtype=np.int64)
     for j, cols in enumerate(kept):
-        ranks[:, j] = st.collision_free_ranks(modes_n[:, cols], m)
+        ranks[:, j] = st.state_ranks(modes_n[:, cols], m, st.COLLISION_FREE)
     # row-major selection adds each output's sub-patterns in output order, then
     # subset order; -1 marks a sub-pattern in which a collision survived
     hit = ranks >= 0
@@ -189,7 +210,6 @@ def detected_distribution(
     input_state,
     n_lost_out: int,
     model: str = INDISTINGUISHABLE,
-    cap: int = st.DEFAULT_STATE_CAP,
 ) -> OutputDistribution:
     """Collision-free detected patterns after n_lost_out photons vanish at the output.
 
@@ -198,7 +218,7 @@ def detected_distribution(
     n = photon_number(input_state)
     if not 0 < n_lost_out < n:
         raise InvalidConfigurationError(f"need 0 < n_lost_out < n, got {n_lost_out}, n={n}")
-    return lossy_distribution(u, input_state, LossConfig(0, n_lost_out), model=model, cap=cap)
+    return lossy_distribution(u, input_state, LossConfig(0, n_lost_out), model=model)
 
 
 def lossy_distribution(
@@ -206,7 +226,6 @@ def lossy_distribution(
     heralded_state,
     loss: LossConfig,
     model: str = INDISTINGUISHABLE,
-    cap: int = st.DEFAULT_STATE_CAP,
 ) -> OutputDistribution:
     """Detected-pattern distribution of a heralded input under known losses.
 
@@ -232,7 +251,7 @@ def lossy_distribution(
     n_det = n - loss.n_lost_out
 
     family = st.COLLISION_FREE if loss.n_lost_out == 0 else st.FULL_FOCK
-    occ_n, modes_n = st.enumerate_states(m, n, family, cap=cap)
+    occ_n, modes_n = st.enumerate_states(m, n, family)
     subsets = list(combinations(mode_indices(her).tolist(), n))
     acc = np.zeros(modes_n.shape[0], dtype=np.float64)
     for sub in subsets:

@@ -362,24 +362,26 @@ def monte_carlo_spdc(
     )
 
 
-def p_qd(n_array: int, i: int, params: QdParams, demux: str = "passive") -> float:
-    """Quantum-dot run probability for i photons from an n_array-port demux."""
+def _qd_route(n_array: int, i: int, params: QdParams, demux: str) -> float:
+    """Chance that the demux routes one photon to its port; checks i and demux."""
     if not 1 <= i <= n_array:
         raise InvalidConfigurationError(f"need 1 <= i <= n_array, got i={i}, n_array={n_array}")
     if demux == "passive":
-        route = 1.0 / n_array
-    elif demux == "active":
-        route = params.eta_dm
-    else:
-        raise InvalidConfigurationError(f"demux must be 'passive' or 'active', got {demux!r}")
+        return 1.0 / n_array
+    if demux == "active":
+        return params.eta_dm
+    raise InvalidConfigurationError(f"demux must be 'passive' or 'active', got {demux!r}")
+
+
+def p_qd(n_array: int, i: int, params: QdParams, demux: str = "passive") -> float:
+    """Quantum-dot run probability for i photons from an n_array-port demux."""
+    route = _qd_route(n_array, i, params, demux)
     return (params.eta * route * params.p_in * params.eta_d) ** i
 
 
 def p_qd_lossy_one(n_array: int, i: int, params: QdParams, demux: str = "passive") -> float:
     """One photon of i lost either at injection or at detection, rest correct."""
-    if not 1 <= i <= n_array:
-        raise InvalidConfigurationError(f"need 1 <= i <= n_array, got i={i}, n_array={n_array}")
-    route = 1.0 / n_array if demux == "passive" else params.eta_dm
+    route = _qd_route(n_array, i, params, demux)
     per_photon = params.eta * route * params.p_in * params.eta_d
     loss_one = params.eta * route * (
         (1.0 - params.p_in) + params.p_in * (1.0 - params.eta_d)

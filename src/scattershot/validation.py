@@ -40,7 +40,9 @@ def likelihood_trajectory(
         raise InvalidComparisonError("hypothesis distributions must share one family")
     if not (p_bs.renormalized and p_dist.renormalized):
         raise InvalidComparisonError("hypothesis distributions must be renormalized")
-    idx = np.array([p_bs.index_of(e) for e in events], dtype=np.int64)
+    if not np.array_equal(p_bs.states, p_dist.states):
+        raise InvalidComparisonError("state lists differ; probabilities are compared by position")
+    idx = p_bs.indices_of(events)
     return np.exp(np.cumsum(_log_ratios(p_bs, p_dist)[idx]))
 
 

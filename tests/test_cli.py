@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from scattershot import __version__
 from scattershot import states as st
 from scattershot.cli import (
     UsageError,
+    _meta_lines,
     _parse_states,
     build_parser,
     distribution_from_file,
@@ -17,7 +19,14 @@ from scattershot.cli import (
     distribution_to_json,
     main,
 )
-from scattershot.distribution import OutputDistribution, detected_distribution
+from scattershot.distribution import (
+    LossConfig,
+    OutputDistribution,
+    detected_distribution,
+    full_distribution,
+    lossy_distribution,
+    sample_events,
+)
 from scattershot.linalg import haar_random_unitary, matrix_to_json
 
 
@@ -285,6 +294,89 @@ def test_distribution_bunched_input_with_input_loss_exits_1(capsys):
     assert main(["distribution", "--m", "6", "--seed", "4", "--input", "2:1:1:0:0:0",
                  "--loss-in", "1", "--loss-out", "1"]) == 1
     assert "invalid-configuration" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["distribution", "sample"])
+@pytest.mark.parametrize("loss", [["--loss-in", "1"], ["--loss-out", "1"]])
+def test_full_fock_with_loss_is_usage_error(command, loss, capsys):
+    args = [command, "--m", "5", "--seed", "1", "--input", "1:1:1:0:0",
+            "--family", "full-fock", *loss]
+    if command == "sample":
+        args += ["--count", "10"]
+    assert main(args) == 2
+    assert "usage-error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["distribution", "sample"])
+def test_renormalize_with_loss_is_accepted(tmp_path, command):
+    """A lossy distribution is always renormalized, so the flag changes nothing."""
+    args = [command, "--m", "5", "--seed", "1", "--input", "1:1:1:0:0", "--loss-out", "1"]
+    if command == "sample":
+        args += ["--count", "50"]
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(args + ["--out", str(a)]) == 0
+    assert main(args + ["--renormalize", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def _row_text(row):
+    return ":".join(str(int(k)) for k in row)
+
+
+def _reference_csv(dist, config):
+    """The row-by-row CSV writer the chunked one replaced."""
+    lines = _meta_lines("distribution", config)
+    lines.append(f"# m={dist.m} n={dist.n_detected} family={dist.family} "
+                 f"renormalized={dist.renormalized} raw_mass={float(dist.raw_mass)!r}")
+    lines.append("state,probability")
+    for row, p in zip(dist.states, dist.probs):
+        lines.append(f"{_row_text(row)},{float(p)!r}")
+    return "\n".join(lines) + "\n"
+
+
+def _reference_json(dist, config):
+    doc = {
+        "meta": {"version": __version__, "command": "distribution", "config": config},
+        "m": dist.m, "n": dist.n_detected, "family": dist.family,
+        "renormalized": dist.renormalized, "raw_mass": dist.raw_mass,
+        "states": [_row_text(row) for row in dist.states],
+        "probs": [float(p) for p in dist.probs],
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _writer_cases():
+    u2, u8, u16 = haar_random_unitary(2, 1), haar_random_unitary(8, 2), haar_random_unitary(16, 3)
+    return {
+        # occupations of 10 and more
+        "full-fock-m2-n10": full_distribution(u2, [6, 4], family=st.FULL_FOCK, renormalize=True),
+        "collision-free": full_distribution(u8, [1, 1, 1, 0, 0, 0, 0, 0]),
+        "lossy": lossy_distribution(u8, [1, 1, 1, 1, 0, 0, 0, 0], LossConfig(1, 1)),
+        # 4368 rows: more than one formatting chunk
+        "chunks": full_distribution(u16, [1] * 5 + [0] * 11),
+    }
+
+
+def test_distribution_writers_match_row_by_row_reference():
+    config = {"m": 2, "haar_seed": 1, "input": "6:4"}
+    for name, dist in _writer_cases().items():
+        csv_text = distribution_to_csv(dist, "distribution", config)
+        assert csv_text == _reference_csv(dist, config), name
+        json_text = distribution_to_json(dist, "distribution", config)
+        assert json_text == _reference_json(dist, config), name
+
+
+@pytest.mark.parametrize("family,inp", [(st.FULL_FOCK, "6:4"), (st.COLLISION_FREE, "1:1")])
+def test_sample_output_matches_row_by_row_reference(tmp_path, family, inp):
+    out = tmp_path / "s.csv"
+    assert main(["sample", "--m", "2", "--seed", "5", "--input", inp, "--family", family,
+                 "--renormalize", "--count", "5000", "--out", str(out)]) == 0
+    u = haar_random_unitary(2, np.random.SeedSequence(5).spawn(2)[0])
+    dist = full_distribution(u, st.state_from_string(inp), family=family, renormalize=True)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(5).spawn(2)[1]))
+    events = sample_events(dist, rng, 5000)
+    body = out.read_text().split("\nevent\n", 1)[1]
+    assert body == "".join(_row_text(row) + "\n" for row in events)
 
 
 BAD_MATRIX_FILES = {

@@ -107,6 +107,27 @@ def test_identity_distinguishable_point_mass():
     assert d.raw_mass == pytest.approx(1.0)
 
 
+def test_index_of_locates_every_state_of_both_families():
+    u = haar_random_unitary(5, 4)
+    for family in (st.COLLISION_FREE, st.FULL_FOCK):
+        d = full_distribution(u, [1, 1, 1, 0, 0], family=family)
+        assert [d.index_of(row) for row in d.states] == list(range(len(d)))
+        assert np.array_equal(d.indices_of(d.states), np.arange(len(d)))
+
+
+@pytest.mark.parametrize("case", ["bunched", "photon-number", "permuted-rows", "wrong-length"])
+def test_index_of_rejects_states_outside_the_listed_family(case):
+    d = full_distribution(haar_random_unitary(4, 1), [1, 1, 0, 0], renormalize=True)
+    state = {"bunched": [2, 0, 0, 0], "photon-number": [1, 1, 1, 0],
+             "permuted-rows": d.states[0], "wrong-length": [1, 1, 0]}[case]
+    if case == "permuted-rows":
+        perm = np.roll(np.arange(len(d)), 1)
+        d = OutputDistribution(d.m, d.n_detected, d.family, d.states[perm], d.probs[perm],
+                               d.raw_mass, d.renormalized)
+    with pytest.raises(InvalidConfigurationError):
+        d.index_of(state)
+
+
 def test_lossless_lossy_equals_full():
     u = haar_random_unitary(6, 9)
     lossy = lossy_distribution(u, [1, 1, 1, 0, 0, 0], LossConfig(0, 0))

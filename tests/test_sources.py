@@ -371,6 +371,13 @@ def test_qd_active_beats_passive_at_figure_parameters():
     assert p_qd_lossy_one(3, 3, params, "active") > 0.0
 
 
+@pytest.mark.parametrize("fn", [p_qd, p_qd_lossy_one])
+def test_qd_rejects_unknown_demux(fn):
+    params = QdParams(eta=0.35, eta_dm=0.7, p_in=0.7, eta_d=0.6)
+    with pytest.raises(InvalidConfigurationError):
+        fn(4, 4, params, "bogus")
+
+
 # ---------------------------------------------------------------- microwave
 
 

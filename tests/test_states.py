@@ -1,18 +1,34 @@
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from scattershot.errors import InstanceTooLargeError, InvalidConfigurationError
 from scattershot.states import (
     COLLISION_FREE,
     FULL_FOCK,
-    collision_free_ranks,
     count_states,
     enumerate_states,
+    format_states,
     state_from_string,
-    state_to_string,
+    state_ranks,
 )
+
+
+def _reference_enumeration(m, n, family):
+    """The itertools generator the rank-based enumeration replaced."""
+    gen = combinations if family == COLLISION_FREE else combinations_with_replacement
+    total = count_states(m, n, family)
+    modes = np.fromiter(
+        (i for tup in gen(range(m), n) for i in tup), dtype=np.int32, count=total * n
+    ).reshape(total, n)
+    modes = modes[::-1].copy()
+    occ = np.zeros((total, m), dtype=np.uint8)
+    np.add.at(occ, (np.repeat(np.arange(total), n), modes.ravel()), 1)
+    return occ, modes
 
 
 def test_counts():
@@ -46,15 +62,42 @@ def test_modes_match_occupations():
     assert np.array_equal(rebuilt, occ)
 
 
+_GRID = (
+    [(m, n, f) for m in range(1, 7) for n in range(1, 7) for f in (COLLISION_FREE, FULL_FOCK)
+     if f == FULL_FOCK or n <= m]
+    + [(12, 4, COLLISION_FREE), (20, 6, FULL_FOCK), (2, 10, FULL_FOCK), (1, 9, FULL_FOCK),
+       (70, 68, COLLISION_FREE)]
+)
+
+
+@pytest.mark.parametrize("m,n,family", _GRID)
+def test_enumeration_matches_itertools_reference(m, n, family):
+    got = enumerate_states(m, n, family)
+    want = _reference_enumeration(m, n, family)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=hst.integers(1, 12), n=hst.integers(1, 6),
+       family=hst.sampled_from([COLLISION_FREE, FULL_FOCK]))
+def test_state_ranks_invert_enumeration_property(m, n, family):
+    if family == COLLISION_FREE and n > m:
+        n = m
+    _, modes = enumerate_states(m, n, family)
+    assert np.array_equal(state_ranks(modes, m, family), np.arange(modes.shape[0]))
+
+
 @pytest.mark.parametrize("m,k", [(1, 1), (5, 1), (5, 5), (6, 3), (12, 4), (20, 5), (30, 2)])
 def test_collision_free_ranks_follow_enumeration_order(m, k):
     _, modes = enumerate_states(m, k, COLLISION_FREE)
-    assert np.array_equal(collision_free_ranks(modes, m), np.arange(modes.shape[0]))
+    assert np.array_equal(state_ranks(modes, m, COLLISION_FREE), np.arange(modes.shape[0]))
 
 
 def test_collision_free_ranks_mark_repeated_modes():
     occ, modes = enumerate_states(6, 3, FULL_FOCK)
-    ranks = collision_free_ranks(modes, 6)
+    ranks = state_ranks(modes, 6, COLLISION_FREE)
     bunched = occ.max(axis=1) > 1
     assert np.all(ranks[bunched] == -1)
     cf_occ, _ = enumerate_states(6, 3, COLLISION_FREE)
@@ -62,8 +105,9 @@ def test_collision_free_ranks_mark_repeated_modes():
 
 
 def test_cap_enforced():
+    # C(40, 10) ~ 8.5e8 states exceeds DEFAULT_STATE_CAP
     with pytest.raises(InstanceTooLargeError):
-        enumerate_states(40, 10, COLLISION_FREE, cap=1000)
+        enumerate_states(40, 10, COLLISION_FREE)
 
 
 def test_collision_free_needs_enough_modes():
@@ -74,6 +118,7 @@ def test_collision_free_needs_enough_modes():
 def test_state_string_round_trip():
     s = state_from_string("0:2:1:0")
     assert s.tolist() == [0, 2, 1, 0]
-    assert state_to_string(s) == "0:2:1:0"
+    assert format_states(s.astype(np.uint8)[None, :]) == ["0:2:1:0"]
     with pytest.raises(InvalidConfigurationError):
         state_from_string("1:x:0")
+

@@ -13,6 +13,7 @@ from scattershot.distribution import (
 from scattershot.errors import (
     DegenerateHypothesisError,
     InsufficientDataError,
+    InvalidComparisonError,
     InvalidConfigurationError,
 )
 from scattershot.linalg import haar_random_unitary
@@ -60,6 +61,37 @@ def test_trajectory_degenerate_denominator():
     q = OutputDistribution(3, 1, st.COLLISION_FREE, occ, np.array([0.0, 0.5, 0.5]), 1.0, True)
     with pytest.raises(DegenerateHypothesisError):
         likelihood_trajectory(p, q, [occ[0]])
+
+
+def _rolled(d):
+    """The same distribution with its rows out of canonical order."""
+    perm = np.roll(np.arange(len(d)), 1)
+    return OutputDistribution(d.m, d.n_detected, d.family, d.states[perm], d.probs[perm],
+                              d.raw_mass, d.renormalized)
+
+
+@pytest.mark.parametrize("case", ["bunched", "photon-number", "permuted-rows"])
+def test_trajectory_rejects_events_outside_the_family(case):
+    u = haar_random_unitary(5, 2)
+    p = full_distribution(u, [1, 1, 0, 0, 0], renormalize=True)
+    q = full_distribution(u, [1, 1, 0, 0, 0], model=DISTINGUISHABLE, renormalize=True)
+    events = list(sample_events(p, 3, 10))
+    if case == "bunched":
+        events.append([0, 2, 0, 0, 0])
+    elif case == "photon-number":
+        events.append([1, 1, 1, 0, 0])
+    else:
+        p, q = (_rolled(d) for d in (p, q))
+    with pytest.raises(InvalidConfigurationError):
+        likelihood_trajectory(p, q, events)
+
+
+def test_trajectory_rejects_alternative_with_other_state_order():
+    u = haar_random_unitary(5, 2)
+    p = full_distribution(u, [1, 1, 0, 0, 0], renormalize=True)
+    q = full_distribution(u, [1, 1, 0, 0, 0], model=DISTINGUISHABLE, renormalize=True)
+    with pytest.raises(InvalidComparisonError):
+        likelihood_trajectory(p, _rolled(q), sample_events(p, 3, 10))
 
 
 def test_min_samples_deterministic():

@@ -32,7 +32,6 @@ from .sources import (
     monte_carlo_mw,
     monte_carlo_spdc,
     p_fake_in,
-    p_gen2,
     p_mw_in,
     p_mw_lossy,
     p_mw_lossy_dark,

@@ -282,7 +282,7 @@ def cmd_permanent(args) -> int:
     a = _read_matrix(args.matrix)
     if args.method == "naive":
         value = permanent_naive(a)
-    elif args.partitions > 1:
+    elif args.partitions != 1:
         value = permanent_glynn_parallel(a, args.partitions)
     else:
         value = permanent_glynn(a)
@@ -391,8 +391,7 @@ def cmd_sources(args) -> int:
     lines = []
     if doc["platform"] == "spdc":
         mc = src.monte_carlo_spdc(
-            args.m, args.n, max(args.n_lost, 1), params, args.trials, args.seed,
-            workers=args.threads,
+            args.m, args.n, params, args.trials, args.seed, workers=args.threads
         )
         rows = [
             ("success", src.p_sbs(args.m, args.n, params), mc.success),
@@ -429,6 +428,8 @@ def cmd_sources(args) -> int:
 def cmd_supremacy(args) -> int:
     doc = load_platform_config(args.config)
     platform = doc["platform"]
+    if args.step < 1:
+        raise UsageError(f"--step must be >= 1, got {args.step}")
     m_range = range(args.m_min, args.m_max + 1, args.step)
     if platform == "spdc":
         params = params_from_config(doc, m=args.m_min)
@@ -538,7 +539,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="platform config JSON")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--n-lost", type=int, default=1)
+    p.add_argument("--n-lost", type=int, default=1,
+                   help="microwave: list lossy0..N-LOST; SPDC always lists lossy1..n-1")
     p.add_argument("--trials", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="CSV path (stdout if omitted)")

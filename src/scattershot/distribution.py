@@ -69,12 +69,6 @@ class OutputDistribution:
     def __len__(self) -> int:
         return self.probs.size
 
-    def as_dict(self) -> dict:
-        return {tuple(int(x) for x in row): float(p) for row, p in zip(self.states, self.probs)}
-
-    def index_of(self, state) -> int:
-        return int(self.indices_of([state])[0])
-
     def indices_of(self, events) -> np.ndarray:
         """Row of each occupation vector in `states`, located by its canonical rank.
 
@@ -295,6 +289,8 @@ def total_variation_distance(p: OutputDistribution, q: OutputDistribution) -> fl
 
 def sample_event_indices(dist: OutputDistribution, seed, count: int) -> np.ndarray:
     """Inverse-CDF draws of state indices; deterministic for a fixed seed."""
+    if count < 0:
+        raise InvalidConfigurationError(f"sample count must be >= 0, got {count}")
     if not dist.renormalized:
         raise InvalidDistributionError("sampling needs a renormalized distribution")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.Generator(

@@ -112,22 +112,6 @@ def _log_comb(n: int, k: int) -> float:
     return lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)
 
 
-def p_gen2(m: int, s: int, t: int, g: float) -> float:
-    """Probability that s sources make single pairs and t make double pairs."""
-    if s < 0 or t < 0 or s + t > m:
-        raise InvalidConfigurationError(f"need s + t <= m, got s={s}, t={t}, m={m}")
-    lg = (
-        lgamma(m + 1)
-        - lgamma(m - s - t + 1)
-        - lgamma(s + 1)
-        - lgamma(t + 1)
-        + _log_pow(g, s)
-        + _log_pow(g * g, t)
-        + _log_pow(1.0 - g - g * g, m - s - t)
-    )
-    return exp(lg)
-
-
 def _log_herald(m: int, n: int, n1: int, params: SpdcParams) -> float:
     """Log probability that exactly n of m sources herald, n1 of them with a
     single pair and n - n1 with a double pair.
@@ -268,6 +252,26 @@ class McEstimate:
         return abs(value - self.probability) / se
 
 
+def _mc_chunks(trials: int, seed: int) -> list[tuple[int, np.random.SeedSequence]]:
+    """(size, SeedSequence) pairs: MC_CHUNK shots each, then the remainder.
+
+    The plan depends only on `trials` and `seed`, so the per-chunk streams,
+    and every count, are the same for any worker count.
+    """
+    if trials < 10_000:
+        raise InvalidConfigurationError("Monte-Carlo needs at least 1e4 trials")
+    sizes = [MC_CHUNK] * (trials // MC_CHUNK)
+    if trials % MC_CHUNK:
+        sizes.append(trials % MC_CHUNK)
+    return list(zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))))
+
+
+def _mc_estimate(count: int, trials: int) -> McEstimate:
+    """Frequency of `count` hits in `trials` shots with its binomial stderr."""
+    p = count / trials
+    return McEstimate(p, math.sqrt(p * (1.0 - p) / trials))
+
+
 @dataclass
 class SpdcMcResult:
     """Monte-Carlo frequencies of the scattershot event classes at fixed n."""
@@ -281,7 +285,6 @@ class SpdcMcResult:
 def monte_carlo_spdc(
     m: int,
     n: int,
-    n_lost: int,
     params: SpdcParams,
     trials: int,
     seed: int,
@@ -294,21 +297,16 @@ def monte_carlo_spdc(
     signal photon behind an open shutter injects with p_in; every injected
     photon is detected with eta_d. Shots with exactly n triggers are classed
     as success (each heralded mode injected exactly one, n detected), fake
-    (n detected, injected state wrong) or lossy-k (injected state a subset of
-    the heralded singles, k photons short at detection).
+    (n detected, injected state wrong) or lossy-k for k = 1..n-1 (injected
+    state a subset of the heralded singles, k photons short at detection).
 
     Trials are split into fixed-size chunks with seeds derived per chunk, and
     chunk counts are reduced in index order, so results do not depend on the
     worker count.
     """
-    if trials < 10_000:
-        raise InvalidConfigurationError("Monte-Carlo needs at least 1e4 trials")
-    if not 0 <= n_lost < n:
-        raise InvalidConfigurationError(f"need 0 <= n_lost < n, got n_lost={n_lost}, n={n}")
-    sizes = [MC_CHUNK] * (trials // MC_CHUNK)
-    if trials % MC_CHUNK:
-        sizes.append(trials % MC_CHUNK)
-    seeds = np.random.SeedSequence(seed).spawn(len(sizes))
+    if not 1 <= n <= m:
+        raise InvalidConfigurationError(f"need 1 <= n <= m, got n={n}, m={m}")
+    jobs = _mc_chunks(trials, seed)
     tracked = range(1, n)
 
     def run_chunk(args):
@@ -336,7 +334,6 @@ def monte_carlo_spdc(
             counts[f"lossy{k}"] = int(np.count_nonzero(subset & (detected == n - k)))
         return counts
 
-    jobs = list(zip(sizes, seeds))
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
@@ -350,15 +347,11 @@ def monte_carlo_spdc(
         for key, v in c.items():
             totals[key] = totals.get(key, 0) + v
 
-    def est(key: str) -> McEstimate:
-        p = totals.get(key, 0) / trials
-        return McEstimate(p, math.sqrt(p * (1.0 - p) / trials))
-
     return SpdcMcResult(
         trials=trials,
-        success=est("success"),
-        fake=est("fake"),
-        lossy={k: est(f"lossy{k}") for k in tracked},
+        success=_mc_estimate(totals["success"], trials),
+        fake=_mc_estimate(totals["fake"], trials),
+        lossy={k: _mc_estimate(totals[f"lossy{k}"], trials) for k in tracked},
     )
 
 
@@ -457,16 +450,10 @@ def monte_carlo_mw(
     count with p_dark. Events are classed by the apparent deficit
     n - (real clicks + dark clicks).
     """
-    if trials < 10_000:
-        raise InvalidConfigurationError("Monte-Carlo needs at least 1e4 trials")
     if max_lost is None:
         max_lost = n
-    sizes = [MC_CHUNK] * (trials // MC_CHUNK)
-    if trials % MC_CHUNK:
-        sizes.append(trials % MC_CHUNK)
-    seeds = np.random.SeedSequence(seed).spawn(len(sizes))
     counts: dict[int, int] = {}
-    for size, ss in zip(sizes, seeds):
+    for size, ss in _mc_chunks(trials, seed):
         rng = np.random.Generator(np.random.PCG64(ss))
         created = rng.binomial(n, params.p_in, size=size)
         real = rng.binomial(created, params.eta_d)
@@ -475,8 +462,4 @@ def monte_carlo_mw(
         vals, freq = np.unique(lost, return_counts=True)
         for v, f in zip(vals.tolist(), freq.tolist()):
             counts[v] = counts.get(v, 0) + f
-    out = {}
-    for k in range(0, max_lost + 1):
-        p = counts.get(k, 0) / trials
-        out[k] = McEstimate(p, math.sqrt(p * (1.0 - p) / trials))
-    return out
+    return {k: _mc_estimate(counts.get(k, 0), trials) for k in range(0, max_lost + 1)}

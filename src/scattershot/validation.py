@@ -76,8 +76,6 @@ class ValidationResult:
     def __post_init__(self):
         if self.min_samples_mean < 1:
             raise InvalidConfigurationError("minimum sample size below 1")
-        if not 0.0 < self.confidence < 1.0:
-            raise InvalidConfigurationError("confidence must lie in (0, 1)")
 
 
 def _min_samples_single(u, n, loss, trials, confidence, stream_seed, max_samples):
@@ -123,6 +121,10 @@ def min_samples_to_validate(
         raise InvalidConfigurationError("need an ensemble of at least 2 unitaries")
     if trials < 50:
         raise InvalidConfigurationError("need at least 50 trial streams per unitary")
+    if not 0.0 < confidence < 1.0:
+        raise InvalidConfigurationError(f"confidence must lie in (0, 1), got {confidence}")
+    if max_samples < 1:
+        raise InvalidConfigurationError(f"need max_samples >= 1, got {max_samples}")
     n_det = n - loss.n_lost_out
     if n_det < 1:
         raise InvalidConfigurationError("output losses leave no detected photons")

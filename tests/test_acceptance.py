@@ -224,8 +224,8 @@ def test_criterion_08_tvd_wrong_input_table():
 def test_criterion_09_source_monte_carlo_agreement():
     t0 = time.time()
     trials = 10_000_000
-    mc2 = monte_carlo_spdc(10, 2, 1, SPDC_REF, trials, MC_SEED)
-    mc3 = monte_carlo_spdc(10, 3, 1, SPDC_REF, trials, MC_SEED)
+    mc2 = monte_carlo_spdc(10, 2, SPDC_REF, trials, MC_SEED)
+    mc3 = monte_carlo_spdc(10, 3, SPDC_REF, trials, MC_SEED)
     s_sig = mc2.success.sigmas_from(p_sbs(10, 2, SPDC_REF))
     f_sig = mc2.fake.sigmas_from(p_sbs_fake(10, 2, SPDC_REF))
     l_sig = mc3.lossy[1].sigmas_from(p_sbs_lossy(10, 3, 1, SPDC_REF))

@@ -512,6 +512,42 @@ def test_bad_config_is_usage_error(tmp_path, capsys):
     assert "usage-error" in capsys.readouterr().err
 
 
+BAD_NUMERIC_FLAGS = {
+    "sample-count": (["sample", "--m", "4", "--seed", "1", "--input", "1:1:0:0",
+                      "--renormalize", "--count", "-1"], 1, "invalid-configuration"),
+    "validate-max-samples": (["validate", "--m", "6", "--n", "2", "--ensemble", "2",
+                              "--trials", "50", "--max-samples", "-1"],
+                             1, "invalid-configuration"),
+    "validate-confidence": (["validate", "--m", "6", "--n", "2", "--ensemble", "2",
+                             "--trials", "50", "--confidence", "1.5"],
+                            1, "invalid-configuration"),
+    "supremacy-step": (["supremacy", "--config", "SPDC", "--m-min", "10", "--m-max", "20",
+                        "--step", "0"], 2, "usage-error"),
+    "permanent-partitions": (["permanent", "--matrix", "ONES", "--partitions", "0"],
+                             1, "invalid-dimension"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_NUMERIC_FLAGS))
+def test_bad_numeric_flag_exits_with_category(case, ones_matrix, spdc_config, capsys):
+    argv, code, category = BAD_NUMERIC_FLAGS[case]
+    argv = [{"SPDC": spdc_config, "ONES": ones_matrix}.get(a, a) for a in argv]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"{category}: ")
+    assert "Traceback" not in err
+
+
+def test_sources_spdc_rows_ignore_n_lost(spdc_config, capsys):
+    rows = []
+    for n_lost in ("0", "1", "2"):
+        assert main(["sources", "--config", spdc_config, "--m", "6", "--n", "3",
+                     "--n-lost", n_lost, "--trials", "20000", "--seed", "8"]) == 0
+        rows.append([ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("#")])
+    assert rows[0] == rows[1] == rows[2]
+    assert [r.split(",")[0] for r in rows[0][1:]] == ["success", "fake", "lossy1", "lossy2"]
+
+
 def test_parser_rejects_unknown_command():
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["frobnicate"])

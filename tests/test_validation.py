@@ -8,6 +8,8 @@ from scattershot.distribution import (
     LossConfig,
     OutputDistribution,
     full_distribution,
+    lossy_distribution,
+    sample_event_indices,
     sample_events,
 )
 from scattershot.errors import (
@@ -18,6 +20,8 @@ from scattershot.errors import (
 )
 from scattershot.linalg import haar_random_unitary
 from scattershot.validation import (
+    FIRST_PREFIX,
+    _log_ratios,
     fit_sample_scaling,
     likelihood_trajectory,
     min_samples_to_validate,
@@ -140,6 +144,59 @@ def test_min_samples_argument_validation():
     with pytest.raises(InsufficientDataError):
         min_samples_to_validate(10, 3, LossConfig(0, 0), ensemble=2, trials=200, seed=0,
                                 max_samples=2)
+
+
+def _full_stream_minima(m, n, loss, ensemble, trials, seed, max_samples, confidence=0.95):
+    """Per-unitary minima by the whole-stream search: every column of every
+    stream is looked up and summed before the first hit is taken."""
+    minima = []
+    for child in np.random.SeedSequence(seed).spawn(ensemble):
+        u_ss, stream_ss = child.spawn(2)
+        u = haar_random_unitary(m, u_ss)
+        heralded = np.zeros(m, dtype=np.uint8)
+        heralded[: n + loss.n_lost_in] = 1
+        p_bs = lossy_distribution(u, heralded, loss, model=INDISTINGUISHABLE)
+        p_cl = lossy_distribution(u, heralded, loss, model=DISTINGUISHABLE)
+        log_r = _log_ratios(p_bs, p_cl)
+        rng = np.random.Generator(np.random.PCG64(stream_ss))
+        idx = sample_event_indices(p_bs, rng, trials * max_samples).reshape(trials, max_samples)
+        cums = np.cumsum(log_r[idx], axis=1)
+        hits = np.nonzero(np.mean(cums > 0.0, axis=0) >= confidence)[0]
+        if hits.size == 0:
+            raise InsufficientDataError(
+                f"validation did not reach {confidence:.0%} within {max_samples} samples"
+            )
+        minima.append(int(hits[0]) + 1)
+    return np.array(minima)
+
+
+# (loss, max_samples, where the largest answer must fall for the case to test
+# what it names); the prefixes read are [0, 32), [32, 64), [64, 128), ...
+PREFIX_CASES = {
+    "lossless-first-block": (LossConfig(0, 0), 400, lambda top: top <= FIRST_PREFIX),
+    "output-loss-past-two-boundaries": (LossConfig(0, 1), 400,
+                                        lambda top: top > 2 * FIRST_PREFIX),
+    "partial-last-block": (LossConfig(0, 1), 170, lambda top: top > 4 * FIRST_PREFIX),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PREFIX_CASES))
+def test_prefix_reading_matches_full_stream_search(case):
+    loss, max_samples, reaches = PREFIX_CASES[case]
+    want = _full_stream_minima(8, 3, loss, 3, 100, 4, max_samples)
+    got = min_samples_to_validate(8, 3, loss, ensemble=3, trials=100, seed=4,
+                                  max_samples=max_samples).per_unitary
+    assert reaches(int(want.max()))
+    assert np.array_equal(got, want)
+
+
+def test_prefix_reading_cap_matches_full_stream_search():
+    loss = LossConfig(0, 1)
+    with pytest.raises(InsufficientDataError) as want:
+        _full_stream_minima(8, 3, loss, 3, 100, 4, 70)
+    with pytest.raises(InsufficientDataError) as got:
+        min_samples_to_validate(8, 3, loss, ensemble=3, trials=100, seed=4, max_samples=70)
+    assert str(got.value) == str(want.value)
 
 
 def test_fit_sample_scaling_exact():

@@ -406,6 +406,8 @@ def cmd_sources(args) -> int:
                 f"{_fmt(est.sigmas_from(analytic))}"
             )
     elif doc["platform"] == "mw":
+        if args.n > args.m:
+            raise UsageError(f"--n must not exceed --m={args.m}, got {args.n}")
         if not 0 <= args.n_lost <= args.n:
             raise UsageError(f"--n-lost must lie in [0, --n={args.n}], got {args.n_lost}")
         mc = src.monte_carlo_mw(args.m, args.n, params, args.trials, args.seed)

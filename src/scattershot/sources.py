@@ -300,6 +300,16 @@ def monte_carlo_spdc(
     (n detected, injected state wrong) or lossy-k for k = 1..n-1 (injected
     state a subset of the heralded singles, k photons short at detection).
 
+    The draw is sparse but samples the same process: per shot the number of
+    pair-making sources is Binomial(m, g + g^2), shots with fewer than n of
+    them (which cannot herald n) are dropped, and only the pair-making
+    sources of the rest draw their pair type (double with g^2 / (g + g^2)),
+    trigger and injection. A source without a pair never triggers, and the
+    modes are exchangeable, so which sources fired changes no event class.
+    The active sources of a chunk are processed in groups of at most
+    MC_CHUNK + m, so every temporary holds O(MC_CHUNK + m) elements whatever
+    m and g are, against O(MC_CHUNK * m) for a dense per-source draw.
+
     Trials are split into fixed-size chunks with seeds derived per chunk, and
     chunk counts are reduced in index order, so results do not depend on the
     worker count.
@@ -307,32 +317,40 @@ def monte_carlo_spdc(
     if not 1 <= n <= m:
         raise InvalidConfigurationError(f"need 1 <= n <= m, got n={n}, m={m}")
     jobs = _mc_chunks(trials, seed)
-    tracked = range(1, n)
+    g, eta_t, eta_t2, p_in = params.g, params.eta_t, params.eta_t2, params.p_in
+    p_double = g / (1.0 + g)  # g^2 / (g + g^2), and 0 at g = 0
+
+    def classify(pairs, rng):
+        """Counts [success, fake, lossy1..lossy(n-1)] of shots with `pairs`
+        pair-making sources each."""
+        shot = np.repeat(np.arange(pairs.size), pairs)
+        double = rng.random(shot.size) < p_double
+        trig = rng.random(shot.size) < np.where(double, eta_t2, eta_t)
+        inj = (rng.random(shot.size) < p_in).astype(np.int64)
+        inj += double & (rng.random(shot.size) < p_in)
+        shot, inj = shot[trig], inj[trig]  # closed shutters inject nothing
+        triggers = np.bincount(shot, minlength=pairs.size)
+        injected = np.bincount(shot, weights=inj, minlength=pairs.size).astype(np.int64)
+        not_one = np.bincount(shot[inj != 1], minlength=pairs.size) > 0
+        two = np.bincount(shot[inj == 2], minlength=pairs.size) > 0
+        sel = triggers == n
+        detected = rng.binomial(injected[sel], params.eta_d)
+        heralded = detected == n
+        deficit = n - detected[~two[sel]]  # subset inputs inject at most n
+        return np.concatenate((
+            [np.count_nonzero(heralded & ~not_one[sel]),
+             np.count_nonzero(heralded & not_one[sel])],
+            np.bincount(deficit, minlength=n + 1)[1:n],
+        ))
 
     def run_chunk(args):
         size, ss = args
         rng = np.random.Generator(np.random.PCG64(ss))
-        g, eta_t, p_in, eta_d = params.g, params.eta_t, params.p_in, params.eta_d
-        u = rng.random((size, m))
-        pairs = np.where(u < g * g, 2, np.where(u < g * g + g, 1, 0)).astype(np.int8)
-        trig_p = np.where(pairs == 1, eta_t, np.where(pairs == 2, params.eta_t2, 0.0))
-        trig = rng.random((size, m)) < trig_p
-        inj = (rng.random((size, m)) < p_in).astype(np.int8)
-        inj += ((pairs == 2) & (rng.random((size, m)) < p_in)).astype(np.int8)
-        inj = np.where(trig, inj, 0)
-        sel = trig.sum(axis=1) == n
-        inj = inj[sel]
-        trig = trig[sel]
-        detected = rng.binomial(inj.sum(axis=1).astype(np.int64), eta_d)
-        all_one = np.all((~trig) | (inj == 1), axis=1)
-        subset = np.all(inj <= 1, axis=1)
-        counts = {
-            "success": int(np.count_nonzero(all_one & (detected == n))),
-            "fake": int(np.count_nonzero(~all_one & (detected == n))),
-        }
-        for k in tracked:
-            counts[f"lossy{k}"] = int(np.count_nonzero(subset & (detected == n - k)))
-        return counts
+        pairs = rng.binomial(m, g + g * g, size=size)
+        pairs = pairs[pairs >= n]
+        ends = np.cumsum(pairs)
+        cuts = np.searchsorted(ends, np.arange(MC_CHUNK, pairs.sum(), MC_CHUNK), "right")
+        return sum(classify(group, rng) for group in np.split(pairs, cuts))
 
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -341,17 +359,13 @@ def monte_carlo_spdc(
             chunk_counts = list(pool.map(run_chunk, jobs))
     else:
         chunk_counts = [run_chunk(j) for j in jobs]
-
-    totals: dict[str, int] = {}
-    for c in chunk_counts:
-        for key, v in c.items():
-            totals[key] = totals.get(key, 0) + v
+    totals = np.sum(chunk_counts, axis=0).tolist()
 
     return SpdcMcResult(
         trials=trials,
-        success=_mc_estimate(totals["success"], trials),
-        fake=_mc_estimate(totals["fake"], trials),
-        lossy={k: _mc_estimate(totals[f"lossy{k}"], trials) for k in tracked},
+        success=_mc_estimate(totals[0], trials),
+        fake=_mc_estimate(totals[1], trials),
+        lossy={k: _mc_estimate(totals[k + 1], trials) for k in range(1, n)},
     )
 
 
@@ -450,6 +464,8 @@ def monte_carlo_mw(
     count with p_dark. Events are classed by the apparent deficit
     n - (real clicks + dark clicks).
     """
+    if not 0 <= n <= m:
+        raise InvalidConfigurationError(f"need 0 <= n <= m, got n={n}, m={m}")
     if max_lost is None:
         max_lost = n
     counts: dict[int, int] = {}

@@ -588,6 +588,22 @@ def test_sources_mw_n_lost_outside_range_is_usage_error(n_lost, tmp_path, capsys
     assert err.startswith("usage-error: ") and f"got {n_lost}" in err
 
 
+def test_sources_mw_more_photons_than_modes_is_usage_error(tmp_path, capsys, monkeypatch):
+    config = tmp_path / "mw.json"
+    config.write_text(json.dumps(
+        {"platform": "mw", "p_in": 0.9, "eta_D": 0.7, "p_dark": 0.1, "t_step": 3.0e-7}
+    ))
+
+    def no_monte_carlo(*args, **kwargs):
+        raise AssertionError("the Monte-Carlo ran before --n was checked against --m")
+
+    monkeypatch.setattr(sources, "monte_carlo_mw", no_monte_carlo)
+    assert main(["sources", "--config", str(config), "--m", "2", "--n", "3",
+                 "--trials", "20000", "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage-error: ") and "Traceback" not in err
+
+
 def test_parser_rejects_unknown_command():
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["frobnicate"])

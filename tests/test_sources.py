@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -342,6 +343,38 @@ def test_monte_carlo_empty_source():
     assert mc.lossy[1].probability == 0.0
 
 
+def test_monte_carlo_matches_exact_process_every_class():
+    # 7 values (n=2: success, fake, lossy1; n=3: success, fake, lossy1,
+    # lossy2), each within 4 sigma of the exact process with the stderr of the
+    # exact probability: two-sided 6.3e-5 each, family-wise <= 4.4e-4
+    # (Bonferroni). g = 0.3 populates every class, fakes included, and gives
+    # more active sources per chunk than MC_CHUNK, so the grouped draw runs.
+    params = SpdcParams(g=0.3, eta_t=0.6, p_in=0.7, eta_d=0.6)
+    trials = 1_000_000
+    for n in (2, 3):
+        exact = exact_spdc_classes(5, n, params, max_lost=n - 1)
+        mc = monte_carlo_spdc(5, n, params, trials, 5)
+        got = {"success": mc.success, "fake": mc.fake}
+        got.update({f"lossy{k}": est for k, est in mc.lossy.items()})
+        assert set(got) == set(exact)
+        for name, p in exact.items():
+            z = (got[name].probability - p) / math.sqrt(p * (1.0 - p) / trials)
+            assert abs(z) < 4.0, (n, name, z)
+
+
+@pytest.mark.parametrize("g,trials", [(0.02, 200_000), (0.3, 50_000)])
+def test_monte_carlo_memory_is_bounded(g, trials):
+    # a dense (shots x m) draw needs ~550 MB at g = 0.02; at g = 0.3 the
+    # ~2e6 active sources of one chunk need ~55 MB unless drawn in groups
+    tracemalloc.start()
+    try:
+        monte_carlo_spdc(100, 4, SpdcParams(g=g, eta_t=0.6, p_in=0.7, eta_d=0.6), trials, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
 def test_monte_carlo_deterministic_and_worker_invariant():
     a = monte_carlo_spdc(6, 2, SPDC_REF, 450_000, 17, workers=1)
     b = monte_carlo_spdc(6, 2, SPDC_REF, 450_000, 17, workers=3)
@@ -435,6 +468,11 @@ def test_mw_monte_carlo_matches_exact_process():
     exact = exact_mw_apparent(16, 3, MW_REF)
     for k in (0, 1, 2):
         assert mc[k].sigmas_from(exact[k]) < 4.0
+
+
+def test_mw_monte_carlo_rejects_more_photons_than_modes():
+    with pytest.raises(InvalidConfigurationError):
+        monte_carlo_mw(2, 3, MW_REF, 20_000, 1)
 
 
 @pytest.mark.xfail(

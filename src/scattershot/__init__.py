@@ -44,7 +44,9 @@ from .states import COLLISION_FREE, FULL_FOCK, enumerate_states
 from .supremacy import (
     SupremacyPoint,
     crossing_modes,
-    supremacy_sweep,
+    supremacy_sweep_mw,
+    supremacy_sweep_qd,
+    supremacy_sweep_spdc,
     t_classical,
     t_classical_lossy,
 )

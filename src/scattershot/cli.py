@@ -104,12 +104,19 @@ def params_from_config(doc: dict, m: int | None = None):
     """Build the platform parameter bundle; m resolves an eta_D schedule."""
     platform = doc["platform"]
     try:
+        if platform == "mw":
+            return src.MwParams(
+                p_in=float(doc["p_in"]),
+                eta_d=float(doc["eta_D"]),
+                p_dark=float(doc.get("p_dark", 0.0)),
+                t_step=float(doc.get("t_step", 0.3e-6)),
+            )
+        eta_d = doc.get("eta_D")
+        if eta_d is None:
+            if m is None:
+                raise UsageError(f"{platform} config with a schedule needs m to resolve eta_D")
+            eta_d = eta_schedule_from_config(doc)(m)
         if platform == "spdc":
-            eta_d = doc.get("eta_D")
-            if eta_d is None:
-                if m is None:
-                    raise UsageError("spdc config with a schedule needs m to resolve eta_D")
-                eta_d = eta_schedule_from_config(doc)(m)
             return src.SpdcParams(
                 g=float(doc["g"]),
                 eta_t=float(doc["eta_T"]),
@@ -117,23 +124,11 @@ def params_from_config(doc: dict, m: int | None = None):
                 eta_d=float(eta_d),
                 pump_rate=float(doc.get("pump_rate", 8.0e7)),
             )
-        if platform == "qd":
-            eta_d = doc.get("eta_D")
-            if eta_d is None:
-                if m is None:
-                    raise UsageError("qd config with a schedule needs m to resolve eta_D")
-                eta_d = eta_schedule_from_config(doc)(m)
-            return src.QdParams(
-                eta=float(doc["eta"]),
-                eta_dm=float(doc.get("eta_dm", 1.0)),
-                p_in=float(doc["p_in"]),
-                eta_d=float(eta_d),
-            )
-        return src.MwParams(
+        return src.QdParams(
+            eta=float(doc["eta"]),
+            eta_dm=float(doc.get("eta_dm", 1.0)),
             p_in=float(doc["p_in"]),
-            eta_d=float(doc["eta_D"]),
-            p_dark=float(doc.get("p_dark", 0.0)),
-            t_step=float(doc.get("t_step", 0.3e-6)),
+            eta_d=float(eta_d),
         )
     except KeyError as exc:
         raise UsageError(f"config missing key {exc}") from exc
@@ -388,41 +383,34 @@ def cmd_validate(args) -> int:
 def cmd_sources(args) -> int:
     doc = load_platform_config(args.config)
     params = params_from_config(doc, m=args.m)
-    lines = []
-    if doc["platform"] == "spdc":
-        mc = src.monte_carlo_spdc(
-            args.m, args.n, params, args.trials, args.seed, workers=args.threads
-        )
-        rows = [
-            ("success", src.p_sbs(args.m, args.n, params), mc.success),
-            ("fake", src.p_sbs_fake(args.m, args.n, params), mc.fake),
-        ]
-        for k, est in mc.lossy.items():
-            rows.append((f"lossy{k}", src.p_sbs_lossy(args.m, args.n, k, params), est))
-        lines.append("class,analytic,mc_estimate,mc_stderr,sigmas")
+    if doc["platform"] == "qd":
+        lines = ["class,analytic"]
+        for demux in ("passive", "active"):
+            lines.append(f"{demux},{_fmt(src.p_qd(args.n, args.n, params, demux))}")
+    else:
+        if doc["platform"] == "spdc":
+            mc = src.monte_carlo_spdc(
+                args.m, args.n, params, args.trials, args.seed, workers=args.threads
+            )
+            rows = [
+                ("success", src.p_sbs(args.m, args.n, params), mc.success),
+                ("fake", src.p_sbs_fake(args.m, args.n, params), mc.fake),
+            ] + [(f"lossy{k}", src.p_sbs_lossy(args.m, args.n, k, params), est)
+                 for k, est in mc.lossy.items()]
+        else:
+            if args.n > args.m:
+                raise UsageError(f"--n must not exceed --m={args.m}, got {args.n}")
+            if not 0 <= args.n_lost <= args.n:
+                raise UsageError(f"--n-lost must lie in [0, --n={args.n}], got {args.n_lost}")
+            mc = src.monte_carlo_mw(args.m, args.n, params, args.trials, args.seed)
+            rows = [(f"lossy{k}", src.p_mw_lossy_dark(args.m, args.n, k, params), mc[k])
+                    for k in range(0, args.n_lost + 1)]
+        lines = ["class,analytic,mc_estimate,mc_stderr,sigmas"]
         for name, analytic, est in rows:
             lines.append(
                 f"{name},{_fmt(analytic)},{_fmt(est.probability)},{_fmt(est.stderr)},"
                 f"{_fmt(est.sigmas_from(analytic))}"
             )
-    elif doc["platform"] == "mw":
-        if args.n > args.m:
-            raise UsageError(f"--n must not exceed --m={args.m}, got {args.n}")
-        if not 0 <= args.n_lost <= args.n:
-            raise UsageError(f"--n-lost must lie in [0, --n={args.n}], got {args.n_lost}")
-        mc = src.monte_carlo_mw(args.m, args.n, params, args.trials, args.seed)
-        lines.append("class,analytic,mc_estimate,mc_stderr,sigmas")
-        for k in range(0, args.n_lost + 1):
-            analytic = src.p_mw_lossy_dark(args.m, args.n, k, params)
-            est = mc[k]
-            lines.append(
-                f"lossy{k},{_fmt(analytic)},{_fmt(est.probability)},{_fmt(est.stderr)},"
-                f"{_fmt(est.sigmas_from(analytic))}"
-            )
-    else:
-        lines.append("class,analytic")
-        for demux in ("passive", "active"):
-            lines.append(f"{demux},{_fmt(src.p_qd(args.n, args.n, params, demux))}")
     config = {"platform": doc["platform"], "m": args.m, "n": args.n,
               "n_lost": args.n_lost, "trials": args.trials, "seed": args.seed}
     _write_text(args.out, "\n".join(_meta_lines("sources", config) + lines) + "\n")
@@ -432,33 +420,36 @@ def cmd_sources(args) -> int:
 def cmd_supremacy(args) -> int:
     doc = load_platform_config(args.config)
     platform = doc["platform"]
+    if args.platform is not None and args.platform != platform:
+        raise UsageError(f"config platform {platform!r} != --platform {args.platform!r}")
     if args.step < 1:
         raise UsageError(f"--step must be >= 1, got {args.step}")
     if args.m_min > args.m_max:
         raise UsageError(f"--m-min {args.m_min} exceeds --m-max {args.m_max}")
+    if not 0 <= args.include_lossy <= 2:
+        # every SPDC event window holds n=3, and a lossy class needs n_lost < n
+        raise UsageError(f"--include-lossy must lie in [0, 2], got {args.include_lossy}")
     m_range = range(args.m_min, args.m_max + 1, args.step)
+    params = params_from_config(doc, m=args.m_min)
     if platform == "spdc":
-        params = params_from_config(doc, m=args.m_min)
         points = sup.supremacy_sweep_spdc(
             m_range, params, a_prime=args.a_prime,
             eta_schedule=eta_schedule_from_config(doc),
             include_lossy_up_to=args.include_lossy,
         )
     elif platform == "qd":
-        params = params_from_config(doc, m=args.m_min)
         points = sup.supremacy_sweep_qd(
             m_range, params, demux=args.demux,
             rep_rate=float(doc.get("rep_rate", 8.0e7)), a_prime=args.a_prime,
             eta_schedule=eta_schedule_from_config(doc),
         )
     else:
-        params = params_from_config(doc)
-        points = sup.supremacy_sweep_mw(
-            m_range, params, a_prime=args.a_prime, include_dark=not args.no_dark
-        )
+        points = sup.supremacy_sweep_mw(m_range, params, a_prime=args.a_prime)
     config = {"platform": platform, "m_min": args.m_min, "m_max": args.m_max,
               "step": args.step, "a_prime": args.a_prime,
               "include_lossy": args.include_lossy}
+    if platform == "qd":
+        config["demux"] = args.demux
     lines = _meta_lines("supremacy", config)
     lines.append("m,n_policy,event_class,t_c,t_q,ratio")
     for p in points:
@@ -563,7 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a-prime", type=float, default=sup.A_PRIME_TIANHE2)
     p.add_argument("--include-lossy", type=int, default=1)
     p.add_argument("--demux", choices=("passive", "active"), default="active")
-    p.add_argument("--no-dark", action="store_true")
     p.add_argument("--out", help="CSV path (stdout if omitted)")
     p.set_defaults(func=cmd_supremacy)
 
@@ -574,11 +564,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "platform", None) and args.command == "supremacy":
-            doc = load_platform_config(args.config)
-            if doc["platform"] != args.platform:
-                raise UsageError(f"config platform {doc['platform']!r} != --platform "
-                                 f"{args.platform!r}")
         return args.func(args)
     except UsageError as exc:
         print(f"usage-error: {exc}", file=sys.stderr)

@@ -187,8 +187,9 @@ def p_sbs_fake(m: int, n: int, params: SpdcParams) -> float:
     Sums the heralding weight over n1 < n (a run without a heralded double
     cannot fake) times the fake-injection probability p_fake_in. The output
     factor fixes the detection combinatorics at the maximal 2n - n1 injected
-    photons, so the closed form carries a few-percent bias against the exact
-    process (see the Monte-Carlo oracle).
+    photons, so the closed form overshoots the exact process: at the reference
+    parameters (g=0.02, eta_T=0.6, p_in=0.7, eta_D=0.6) by 4.9% at n=2 and
+    20.4% at n=3, alike for m = 6, 10 and 16.
     """
     if not 1 <= n <= m:
         raise InvalidConfigurationError(f"need 1 <= n <= m, got n={n}, m={m}")
@@ -246,9 +247,12 @@ def p_sbs_lossy(m: int, n: int, n_lost: int, params: SpdcParams) -> float:
 class McEstimate:
     probability: float
     stderr: float
+    trials: int
 
     def sigmas_from(self, value: float) -> float:
-        se = max(self.stderr, 1e-300)
+        """z of the estimate against `value`, with the binomial stderr of
+        `value` itself, so a class with no hits still reads a finite z."""
+        se = max(math.sqrt(value * (1.0 - value) / self.trials), 1e-300)
         return abs(value - self.probability) / se
 
 
@@ -269,7 +273,7 @@ def _mc_chunks(trials: int, seed: int) -> list[tuple[int, np.random.SeedSequence
 def _mc_estimate(count: int, trials: int) -> McEstimate:
     """Frequency of `count` hits in `trials` shots with its binomial stderr."""
     p = count / trials
-    return McEstimate(p, math.sqrt(p * (1.0 - p) / trials))
+    return McEstimate(p, math.sqrt(p * (1.0 - p) / trials), trials)
 
 
 @dataclass

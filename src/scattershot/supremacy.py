@@ -4,8 +4,11 @@ The classical simulator is brute force: full distribution then sampling, at
 A' n 2^n per permanent and C(m, n) permanents per distribution. Lossy events
 multiply that by the number of loss configurations a detected pattern is
 compatible with. The quantum side inverts the per-shot event probability of
-the platform. Sweeps report, per mode count, the event-ensemble averaged
-classical time, the per-event quantum time, and their ratio.
+the platform. Each platform sweep (SPDC, quantum dot, microwave) only states
+its events at mode count m: the photon-number policy, the shot rate and the
+exact and lossy-k probabilities per n. One loop turns those into, per mode
+count and class (exact, lossy1..K, generalized), the event-ensemble averaged
+classical time, the per-event quantum time and their ratio.
 """
 from __future__ import annotations
 
@@ -119,24 +122,42 @@ def max_photons_under_complexity(m: int, minimum: int = 1) -> int | None:
     return n if n >= minimum else None
 
 
-def _assemble_points(m, policy_label, weighted):
-    """Build one SupremacyPoint per event class from accumulated event data.
+def _sweep(m_range, a_prime: float, events_at) -> list[SupremacyPoint]:
+    """One SupremacyPoint per event class and mode count, for any platform.
 
-    weighted maps class -> (sum of event probabilities, probability-weighted
-    sum of classical times, events-per-second rate factor). The reported t_c
-    is the mean classical time per event of the class, t_q the mean wait for
-    one such event, so ratio = t_c / t_q = rate * sum(P * t_c) compares the
-    classical cost of keeping up with the quantum event stream.
+    events_at(m) describes the platform at m: None when no event window
+    exists, else (n_policy, rate, events) with the shot rate in Hz and, per
+    photon number n, the per-shot probabilities [exact, lossy1, ..., lossyK].
+    Each class accumulates sum(P) and sum(P * t_c), and generalized takes
+    every event in order. The reported t_c is the mean classical time per
+    event of the class, t_q the mean wait for one such event, so
+    ratio = t_c / t_q = rate * sum(P * t_c) compares the classical cost of
+    keeping up with the quantum event stream.
     """
     points = []
-    for cls, (sum_p, sum_ptc, rate) in weighted.items():
-        if sum_p <= 0.0:
-            # no events of this class ever occur: infinite wait, nothing to simulate
-            points.append(SupremacyPoint(m, policy_label, cls, inf, inf, 0.0))
+    for m in m_range:
+        described = events_at(m)
+        if described is None:
             continue
-        t_c = sum_ptc / sum_p
-        t_q = 1.0 / (rate * sum_p)
-        points.append(SupremacyPoint(m, policy_label, cls, t_c, t_q, t_c / t_q))
+        label, rate, events = described
+        n_lossy = len(events[0][1]) - 1
+        classes = [EXACT] + [lossy_class(k) for k in range(1, n_lossy + 1)] + [GENERALIZED]
+        sums = [[0.0, 0.0] for _ in classes]
+        for n, probs in events:
+            for k, p in enumerate(probs):
+                t_c = (t_classical(m, n, a_prime) if k == 0
+                       else t_classical_lossy_either(m, n, k, a_prime))
+                for acc in (sums[k], sums[-1]):
+                    acc[0] += p
+                    acc[1] += p * t_c
+        for cls, (sum_p, sum_ptc) in zip(classes, sums):
+            if sum_p <= 0.0:
+                # no events of this class ever occur: infinite wait, nothing to simulate
+                points.append(SupremacyPoint(m, label, cls, inf, inf, 0.0))
+                continue
+            t_c = sum_ptc / sum_p
+            t_q = 1.0 / (rate * sum_p)
+            points.append(SupremacyPoint(m, label, cls, t_c, t_q, t_c / t_q))
     return points
 
 
@@ -147,42 +168,23 @@ def supremacy_sweep_spdc(
     eta_schedule=None,
     include_lossy_up_to: int = 1,
 ) -> list[SupremacyPoint]:
-    """SPDC sweep with the 3 <= n < sqrt(m) event window.
-
-    Per event class the reported t_c is the event-probability weighted mean of
-    the per-event classical times and t_q is the mean wait for any event of
-    the class, so ratio = t_c / t_q compares the classical cost of keeping up
-    with the quantum event stream.
-    """
+    """SPDC sweep over the 3 <= n < sqrt(m) event window at the pump rate."""
     if eta_schedule is None:
         eta_schedule = linear_eta_schedule()
-    points = []
-    for m in m_range:
+
+    def events_at(m):
         ns = scattershot_photon_range(m)
         if not ns:
-            continue
+            return None
         pars = params.with_eta_d(eta_schedule(m))
-        classes: dict[str, list[float]] = {EXACT: [0.0, 0.0], GENERALIZED: [0.0, 0.0]}
-        for k in range(1, include_lossy_up_to + 1):
-            classes[lossy_class(k)] = [0.0, 0.0]
-        for n in ns:
-            p_ok = src.p_sbs(m, n, pars)
-            tc_ok = t_classical(m, n, a_prime)
-            classes[EXACT][0] += p_ok
-            classes[EXACT][1] += p_ok * tc_ok
-            classes[GENERALIZED][0] += p_ok
-            classes[GENERALIZED][1] += p_ok * tc_ok
-            for k in range(1, include_lossy_up_to + 1):
-                p_k = src.p_sbs_lossy(m, n, k, pars)
-                tc_k = t_classical_lossy_either(m, n, k, a_prime)
-                classes[lossy_class(k)][0] += p_k
-                classes[lossy_class(k)][1] += p_k * tc_k
-                classes[GENERALIZED][0] += p_k
-                classes[GENERALIZED][1] += p_k * tc_k
-        label = f"n={ns[0]}..{ns[-1]}"
-        weighted = {cls: (v[0], v[1], params.pump_rate) for cls, v in classes.items()}
-        points.extend(_assemble_points(m, label, weighted))
-    return points
+        events = [
+            (n, [src.p_sbs(m, n, pars)]
+             + [src.p_sbs_lossy(m, n, k, pars) for k in range(1, include_lossy_up_to + 1)])
+            for n in ns
+        ]
+        return f"n={ns[0]}..{ns[-1]}", params.pump_rate, events
+
+    return _sweep(m_range, a_prime, events_at)
 
 
 def supremacy_sweep_qd(
@@ -193,69 +195,40 @@ def supremacy_sweep_qd(
     a_prime: float = A_PRIME_TIANHE2,
     eta_schedule=None,
 ) -> list[SupremacyPoint]:
-    """Quantum-dot sweep at the largest n with n^2 < m (stepped jumps)."""
+    """Quantum-dot sweep at the largest n >= 2 with n^2 < m (stepped jumps)."""
     if eta_schedule is None:
         eta_schedule = linear_eta_schedule()
-    points = []
-    for m in m_range:
-        n = max_photons_under_complexity(m)
+
+    def events_at(m):
+        n = max_photons_under_complexity(m, minimum=2)
         if n is None:
-            continue
+            return None
         pars = params.with_eta_d(eta_schedule(m))
-        p_ok = src.p_qd(n, n, pars, demux)
-        p_lossy = src.p_qd_lossy_one(n, n, pars, demux)
-        tc_ok = t_classical(m, n, a_prime)
-        tc_lossy = t_classical_lossy_either(m, n, 1, a_prime)
-        weighted = {
-            EXACT: (p_ok, p_ok * tc_ok, rep_rate),
-            lossy_class(1): (p_lossy, p_lossy * tc_lossy, rep_rate),
-            GENERALIZED: (p_ok + p_lossy, p_ok * tc_ok + p_lossy * tc_lossy, rep_rate),
-        }
-        points.extend(_assemble_points(m, f"n={n}", weighted))
-    return points
+        probs = [src.p_qd(n, n, pars, demux), src.p_qd_lossy_one(n, n, pars, demux)]
+        return f"n={n}", rep_rate, [(n, probs)]
+
+    return _sweep(m_range, a_prime, events_at)
 
 
 def supremacy_sweep_mw(
     m_range,
     params: src.MwParams,
     a_prime: float = A_PRIME_TIANHE2,
-    include_dark: bool = True,
 ) -> list[SupremacyPoint]:
-    """Microwave sweep at the largest n with n^2 < m; rate bound m t_step.
+    """Microwave sweep at the largest n >= 2 with n^2 < m.
 
-    The effective event rate is 1 / (m t_step), so the weighted assembly gets
-    rate = 1 / (m t_step) per point.
+    The event rate is bounded by m time steps per run, 1 / (m t_step); the
+    lossy class counts dark clicks (p_dark = 0 gives the dark-free form).
     """
-    points = []
-    for m in m_range:
-        n = max_photons_under_complexity(m)
+
+    def events_at(m):
+        n = max_photons_under_complexity(m, minimum=2)
         if n is None:
-            continue
-        rate = 1.0 / (m * params.t_step)
-        p_ok = src.p_mw_lossy(n, 0, params)
-        p_lossy = (
-            src.p_mw_lossy_dark(m, n, 1, params) if include_dark else src.p_mw_lossy(n, 1, params)
-        )
-        tc_ok = t_classical(m, n, a_prime)
-        tc_lossy = t_classical_lossy_either(m, n, 1, a_prime)
-        weighted = {
-            EXACT: (p_ok, p_ok * tc_ok, rate),
-            lossy_class(1): (p_lossy, p_lossy * tc_lossy, rate),
-            GENERALIZED: (p_ok + p_lossy, p_ok * tc_ok + p_lossy * tc_lossy, rate),
-        }
-        points.extend(_assemble_points(m, f"n={n}", weighted))
-    return points
+            return None
+        probs = [src.p_mw_lossy(n, 0, params), src.p_mw_lossy_dark(m, n, 1, params)]
+        return f"n={n}", 1.0 / (m * params.t_step), [(n, probs)]
 
-
-def supremacy_sweep(platform: str, m_range, params, **kwargs) -> list[SupremacyPoint]:
-    """Dispatch a sweep by platform name ('spdc', 'qd' or 'mw')."""
-    if platform == "spdc":
-        return supremacy_sweep_spdc(m_range, params, **kwargs)
-    if platform == "qd":
-        return supremacy_sweep_qd(m_range, params, **kwargs)
-    if platform == "mw":
-        return supremacy_sweep_mw(m_range, params, **kwargs)
-    raise InvalidConfigurationError(f"unknown platform {platform!r}")
+    return _sweep(m_range, a_prime, events_at)
 
 
 def crossing_modes(points, event_class: str = GENERALIZED) -> int | None:

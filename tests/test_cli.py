@@ -48,6 +48,20 @@ def spdc_config(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def qd_config(tmp_path):
+    path = tmp_path / "qd.json"
+    path.write_text(json.dumps(QD_CONFIG))
+    return str(path)
+
+
+@pytest.fixture
+def mw_config(tmp_path):
+    path = tmp_path / "mw.json"
+    path.write_text(json.dumps(MW_CONFIG))
+    return str(path)
+
+
 def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -490,14 +504,15 @@ def test_sources_spdc_table(tmp_path, spdc_config, capsys):
     assert "success," in out and "fake," in out and "lossy1," in out
 
 
-def test_sources_threads_invariant(tmp_path, spdc_config):
+def test_sources_threads_invariant(tmp_path, spdc_config, mw_config):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
-    args = ["sources", "--config", spdc_config, "--m", "6", "--n", "2",
-            "--trials", "450000", "--seed", "8"]
-    main(args + ["--threads", "1", "--out", str(a)])
-    main(args + ["--threads", "3", "--out", str(b)])
-    assert a.read_bytes() == b.read_bytes()
+    for config, shape in ((spdc_config, ["--m", "6", "--n", "2"]),
+                          (mw_config, ["--m", "16", "--n", "3", "--n-lost", "2"])):
+        args = ["sources", "--config", config, *shape, "--trials", "450000", "--seed", "8"]
+        main(args + ["--threads", "1", "--out", str(a)])
+        main(args + ["--threads", "3", "--out", str(b)])
+        assert a.read_bytes() == b.read_bytes()
 
 
 def test_supremacy_sweep_csv(tmp_path, spdc_config):
@@ -549,17 +564,15 @@ def test_supremacy_skips_single_photon_modes(doc, tmp_path):
     assert sorted({r[0] for r in _sweep_rows(out)}) == ["5", "6"]
 
 
-def test_supremacy_header_records_demux_for_qd_only(tmp_path, spdc_config):
-    qd = tmp_path / "qd.json"
-    qd.write_text(json.dumps(QD_CONFIG))
-    mw = tmp_path / "mw.json"
-    mw.write_text(json.dumps(MW_CONFIG))
+def test_supremacy_header_records_demux_for_qd_only(tmp_path, spdc_config, qd_config,
+                                                    mw_config):
     configs = {}
-    for name, path, extra in (("active", qd, []), ("passive", qd, ["--demux", "passive"]),
+    for name, path, extra in (("active", qd_config, []),
+                              ("passive", qd_config, ["--demux", "passive"]),
                               ("spdc", spdc_config, ["--demux", "passive"]),
-                              ("mw", mw, ["--demux", "passive"])):
+                              ("mw", mw_config, ["--demux", "passive"])):
         out = tmp_path / f"{name}.csv"
-        assert main(["supremacy", "--config", str(path), "--m-min", "10", "--m-max", "12",
+        assert main(["supremacy", "--config", path, "--m-min", "10", "--m-max", "12",
                      "--out", str(out)] + extra) == 0
         header = [ln for ln in out.read_text().splitlines() if ln.startswith("# config: ")]
         configs[name] = json.loads(header[0][len("# config: "):])
@@ -604,15 +617,22 @@ BAD_NUMERIC_FLAGS = {
                                   "--m-max", "10"], 2, "usage-error"),
     "supremacy-include-lossy": (["supremacy", "--config", "SPDC", "--m-min", "10",
                                  "--m-max", "20", "--include-lossy", "3"], 2, "usage-error"),
+    # quantum-dot and microwave sweeps list lossy1 only, whatever K is
+    "supremacy-include-lossy-qd": (["supremacy", "--config", "QD", "--m-min", "10",
+                                    "--m-max", "12", "--include-lossy", "0"], 2, "usage-error"),
+    "supremacy-include-lossy-mw": (["supremacy", "--config", "MW", "--m-min", "10",
+                                    "--m-max", "12", "--include-lossy", "2"], 2, "usage-error"),
     "permanent-partitions": (["permanent", "--matrix", "ONES", "--partitions", "0"],
                              1, "invalid-dimension"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_NUMERIC_FLAGS))
-def test_bad_numeric_flag_exits_with_category(case, ones_matrix, spdc_config, capsys):
+def test_bad_numeric_flag_exits_with_category(case, ones_matrix, spdc_config, qd_config,
+                                              mw_config, capsys):
     argv, code, category = BAD_NUMERIC_FLAGS[case]
-    argv = [{"SPDC": spdc_config, "ONES": ones_matrix}.get(a, a) for a in argv]
+    paths = {"SPDC": spdc_config, "QD": qd_config, "MW": mw_config, "ONES": ones_matrix}
+    argv = [paths.get(a, a) for a in argv]
     assert main(argv) == code
     err = capsys.readouterr().err
     assert err.startswith(f"{category}: ")

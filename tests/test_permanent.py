@@ -1,5 +1,7 @@
 import itertools
+import os
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 from hypothesis.extra.numpy import arrays
 
+from scattershot import permanent
 from scattershot.errors import (
     InsufficientDataError,
     InvalidDimensionError,
@@ -14,7 +17,9 @@ from scattershot.errors import (
 )
 from scattershot.permanent import (
     CHUNK_BYTES,
+    GLYNN_MAX_N,
     NAIVE_MAX_N,
+    SEGMENT_BYTES,
     TimingModel,
     fit_timing_model,
     permanent_glynn,
@@ -227,14 +232,42 @@ def test_batch_matches_naive_property(re, data):
 
 def test_batch_temporaries_within_budget():
     rng = np.random.default_rng(37)
-    mats = rng.random((300, 10, 10)) + 1j * rng.random((300, 10, 10))  # several chunks at n=10
-    expect = permanents_batch(mats)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        out = permanents_batch(mats)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert np.array_equal(out, expect)
-    assert CHUNK_BYTES // 2 < peak - before - out.nbytes <= CHUNK_BYTES
+    for k, n, budget in ((300, 10, CHUNK_BYTES),  # several chunks at n=10
+                         (1, 18, SEGMENT_BYTES)):  # one matrix, whole table 40 MB
+        mats = rng.random((k, n, n)) + 1j * rng.random((k, n, n))
+        expect = permanents_batch(mats)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = permanents_batch(mats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(out, expect)
+        assert budget // 2 < peak - before - out.nbytes <= budget
+
+
+@pytest.mark.parametrize("n", [17, 18])
+def test_one_matrix_stack_matches_single_call_bitwise(n):
+    rng = np.random.default_rng(41 + n)
+    a = random_complex(rng, n)
+    assert permanents_batch(a[None])[0] == permanent_glynn(a)
+
+
+def test_batch_rejects_stacks_above_glynn_cap():
+    with pytest.raises(InvalidDimensionError):
+        permanents_batch(np.zeros((1, GLYNN_MAX_N + 1, GLYNN_MAX_N + 1)))
+
+
+def test_pool_width_is_bounded_by_cpu_count(monkeypatch):
+    widths = []
+
+    def recording_pool(max_workers, **kwargs):
+        widths.append(max_workers)
+        return ThreadPoolExecutor(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(permanent, "ThreadPoolExecutor", recording_pool)
+    a = random_complex(np.random.default_rng(43), 18)  # 8 segments
+    assert permanent_glynn_parallel(a, 64) == permanent_glynn(a)
+    assert widths == [2]

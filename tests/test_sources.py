@@ -1,5 +1,7 @@
 import math
+import os
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from math import comb
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from scattershot import sources
 from scattershot.errors import InvalidConfigurationError
 from scattershot.sources import (
     MwParams,
@@ -469,6 +472,23 @@ def test_mw_monte_carlo_matches_exact_process():
     exact = exact_mw_apparent(16, 3, MW_REF)
     for k in (0, 1, 2):
         assert mc[k].sigmas_from(exact[k]) < 4.0
+
+
+def test_monte_carlo_pool_width_is_bounded_by_cpu_count(monkeypatch):
+    widths = []
+
+    def recording_pool(max_workers, **kwargs):
+        widths.append(max_workers)
+        return ThreadPoolExecutor(max_workers=max_workers, **kwargs)
+
+    serial = (monte_carlo_mw(16, 3, MW_REF, 1_000_000, 9),
+              monte_carlo_spdc(6, 2, SPDC_REF, 600_000, 9))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(sources, "ThreadPoolExecutor", recording_pool)
+    pooled = (monte_carlo_mw(16, 3, MW_REF, 1_000_000, 9, workers=64),  # 5 chunks
+              monte_carlo_spdc(6, 2, SPDC_REF, 600_000, 9, workers=64))  # 3 chunks
+    assert pooled == serial
+    assert widths == [2, 2]
 
 
 def test_mw_monte_carlo_rejects_more_photons_than_modes():

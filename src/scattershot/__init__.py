@@ -9,7 +9,6 @@ from .distribution import (
     LossConfig,
     OutputDistribution,
     bs_probability,
-    detected_distribution,
     distinguishable_probability,
     full_distribution,
     lossy_distribution,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -32,18 +33,6 @@ class UsageError(Exception):
 
 # largest entry of |U U^H - I| accepted for a --unitary file
 UNITARY_TOL = 1e-9
-
-
-def _default_threads() -> int:
-    import os
-
-    env = os.environ.get("SCATTERSHOT_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
 
 
 def _meta_lines(command: str, config: dict) -> list[str]:
@@ -422,8 +411,6 @@ def cmd_sources(args) -> int:
 def cmd_supremacy(args) -> int:
     doc = load_platform_config(args.config)
     platform = doc["platform"]
-    if args.platform is not None and args.platform != platform:
-        raise UsageError(f"config platform {platform!r} != --platform {args.platform!r}")
     if args.step < 1:
         raise UsageError(f"--step must be >= 1, got {args.step}")
     if args.m_min > args.m_max:
@@ -435,6 +422,10 @@ def cmd_supremacy(args) -> int:
         # quantum-dot and microwave sweeps always list exactly one lossy class
         raise UsageError(f"--include-lossy applies to spdc configs only, got "
                          f"{args.include_lossy} for {platform!r}")
+    if platform != "qd" and args.demux != "active":
+        # only quantum-dot sources are demultiplexed
+        raise UsageError(f"--demux applies to qd configs only, got {args.demux!r} "
+                         f"for {platform!r}")
     m_range = range(args.m_min, args.m_max + 1, args.step)
     params = params_from_config(doc, m=args.m_min)
     if platform == "spdc":
@@ -478,9 +469,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_threads(q):
-        q.add_argument("--threads", type=int, default=_default_threads(),
-                       help="worker count for parallel chunks (default: "
-                            "SCATTERSHOT_THREADS or all cores); never changes results")
+        q.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                       help="worker count for parallel chunks (default: all cores); "
+                            "never changes results")
 
     p = sub.add_parser("permanent", help="permanent of a JSON matrix")
     add_threads(p)
@@ -551,8 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("supremacy", help="classical vs quantum time sweep")
     add_threads(p)
-    p.add_argument("--platform", choices=("spdc", "qd", "mw"),
-                   help="must match the config's platform if given")
     p.add_argument("--config", required=True)
     p.add_argument("--m-min", type=int, required=True)
     p.add_argument("--m-max", type=int, required=True)

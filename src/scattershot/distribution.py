@@ -2,20 +2,20 @@
 
 Indistinguishable photons follow the squared-permanent rule; the
 distinguishable-particle alternative uses the permanent of the elementwise
-|u|^2 matrix. `lossy_distribution` builds every detected-pattern
-distribution: it averages over every loss configuration compatible with the
-detected pattern, uniformly over injected input subsets, and marginalizes
-output loss by binning every n-photon output (bunched ones included) onto its
+|u|^2 matrix. One private builder, `_distributions`, makes every table, for
+one or both particle models from one basis. It averages uniformly over the
+injected subsets of the heralded photons. Without output loss it enumerates
+the requested family and renormalizes on request. With output loss it bins
+every propagated n-photon output (bunched ones included) onto its
 photon-subset sub-patterns, each located by its canonical rank
-(`states.state_ranks`). It renormalizes once at the end over the
-collision-free detected family. Without input loss the input may be bunched;
-`detected_distribution` is that output-loss-only case. Certification builds
-both particle models from one basis through `_lossy_distributions`.
+(`states.state_ranks`), and renormalizes once over the collision-free
+detected family. `full_distribution` (lossless) and `lossy_distribution`
+are single calls into it; certification calls it for both models at once.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -51,7 +51,6 @@ class OutputDistribution:
     probs: np.ndarray
     raw_mass: float
     renormalized: bool
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.probs = np.asarray(self.probs, dtype=np.float64)
@@ -139,27 +138,8 @@ def full_distribution(
     model: str = INDISTINGUISHABLE,
     renormalize: bool = False,
 ) -> OutputDistribution:
-    """Exact output distribution of one input state over a whole family."""
-    m = u.shape[0]
-    n = photon_number(input_state)
-    if n < 1:
-        raise InvalidConfigurationError("need at least one photon")
-    occ, modes = st.enumerate_states(m, n, family)
-    in_modes = mode_indices(input_state)
-    probs = _batch_probabilities(u, in_modes, modes, occ, model)
-    raw = float(probs.sum())
-    if renormalize:
-        probs = probs / raw
-    return OutputDistribution(
-        m=m,
-        n_detected=n,
-        family=family,
-        states=occ,
-        probs=probs,
-        raw_mass=raw,
-        renormalized=renormalize,
-        meta={"model": model, "input": tuple(int(x) for x in np.asarray(input_state))},
-    )
+    """Exact lossless output distribution of one input state over a whole family."""
+    return _distributions(u, input_state, LossConfig(), (model,), family, renormalize)[0]
 
 
 @dataclass(frozen=True)
@@ -208,22 +188,6 @@ def _marginal_over_output_loss(probs_n, modes_n, m, n_lost_out):
     return det_occ, out.reshape(scaled.shape[:-1] + (det_occ.shape[0],))
 
 
-def detected_distribution(
-    u: np.ndarray,
-    input_state,
-    n_lost_out: int,
-    model: str = INDISTINGUISHABLE,
-) -> OutputDistribution:
-    """Collision-free detected patterns after n_lost_out photons vanish at the output.
-
-    The input may be bunched; this is lossy_distribution with output loss only.
-    """
-    n = photon_number(input_state)
-    if not 0 < n_lost_out < n:
-        raise InvalidConfigurationError(f"need 0 < n_lost_out < n, got {n_lost_out}, n={n}")
-    return lossy_distribution(u, input_state, LossConfig(0, n_lost_out), model=model)
-
-
 def lossy_distribution(
     u: np.ndarray,
     heralded_state,
@@ -241,32 +205,39 @@ def lossy_distribution(
     The heralded state may be bunched only when no photon is lost at the
     input. The result is renormalized over the collision-free detected family.
     """
-    return _lossy_distributions(u, heralded_state, loss, (model,))[0]
+    return _distributions(u, heralded_state, loss, (model,))[0]
 
 
-def _lossy_distributions(u, heralded_state, loss: LossConfig, models) -> list:
-    """`lossy_distribution` for each model in turn, all from one basis.
+def _distributions(u, state, loss: LossConfig, models, family=st.COLLISION_FREE,
+                   renormalize=True) -> list:
+    """The distribution of each model in turn, all from one basis.
 
-    The propagated basis is enumerated once and the output-loss sub-pattern
-    ranks are found once; per injected subset each model gathers and
-    evaluates its own permanents, one model after the other, so only one
-    gathered stack is alive at a time. Each result equals a separate
-    `lossy_distribution` call bit for bit.
+    state holds the heralded photons; loss.n_lost_in of them are lost before
+    the interferometer (uniformly over the injected subsets) and
+    loss.n_lost_out of the propagated ones before detection. Without output
+    loss the result spans `family` and is renormalized if `renormalize`;
+    with output loss the full Fock family of propagated outputs feeds the
+    marginalization and the result is always renormalized over the
+    collision-free detected family. The propagated basis is enumerated once
+    and the output-loss sub-pattern ranks are found once; per injected subset
+    each model gathers and evaluates its own permanents, one model after the
+    other, so only one gathered stack is alive at a time. Each result equals
+    a one-model call bit for bit.
     """
-    her = np.asarray(heralded_state)
-    if loss.n_lost_in > 0 and np.any(her > 1):
-        raise InvalidConfigurationError("heralded state must be collision-free under input loss")
+    her = np.asarray(state)
     m = u.shape[0]
     n_her = photon_number(her)
+    if n_her < 1:
+        raise InvalidConfigurationError("need at least one photon")
+    if loss.n_lost_in > 0 and np.any(her > 1):
+        raise InvalidConfigurationError("heralded state must be collision-free under input loss")
     if loss.total >= n_her:
         raise InvalidConfigurationError(
             f"losses ({loss.total}) must be fewer than heralded photons ({n_her})"
         )
     n = n_her - loss.n_lost_in
-    n_det = n - loss.n_lost_out
-
-    family = st.COLLISION_FREE if loss.n_lost_out == 0 else st.FULL_FOCK
-    occ_n, modes_n = st.enumerate_states(m, n, family)
+    parents = st.FULL_FOCK if loss.n_lost_out > 0 else family
+    occ_n, modes_n = st.enumerate_states(m, n, parents)
     subsets = list(combinations(mode_indices(her).tolist(), n))
     acc = np.zeros((len(models), modes_n.shape[0]), dtype=np.float64)
     for sub in subsets:
@@ -276,40 +247,42 @@ def _lossy_distributions(u, heralded_state, loss: LossConfig, models) -> list:
     acc /= len(subsets)
 
     if loss.n_lost_out > 0:
-        det_occ, raw = _marginal_over_output_loss(acc, modes_n, m, loss.n_lost_out)
+        occ, raw = _marginal_over_output_loss(acc, modes_n, m, loss.n_lost_out)
+        family, renormalize = st.COLLISION_FREE, True
     else:
-        det_occ, raw = occ_n, acc
+        occ, raw = occ_n, acc
     dists = []
-    for row, model in zip(raw, models):
+    for row in raw:
         mass = float(row.sum())
         dists.append(OutputDistribution(
             m=m,
-            n_detected=n_det,
-            family=st.COLLISION_FREE,
-            states=det_occ,
-            probs=row / mass,
+            n_detected=n - loss.n_lost_out,
+            family=family,
+            states=occ,
+            probs=row / mass if renormalize else row,
             raw_mass=mass,
-            renormalized=True,
-            meta={
-                "model": model,
-                "heralded": tuple(int(x) for x in her),
-                "loss": (loss.n_lost_in, loss.n_lost_out),
-            },
+            renormalized=renormalize,
         ))
     return dists
 
 
-def total_variation_distance(p: OutputDistribution, q: OutputDistribution) -> float:
-    """0.5 * sum |p_i - q_i| over a shared, renormalized family whose state
-    lists match row for row."""
+def _require_comparable(p: OutputDistribution, q: OutputDistribution) -> None:
+    """Refuse two distributions whose probabilities cannot be compared by position:
+    another family, m or n, an unrenormalized table, or state lists that differ."""
     if (p.family, p.m, p.n_detected) != (q.family, q.m, q.n_detected):
         raise InvalidComparisonError(
             f"family mismatch: {(p.family, p.m, p.n_detected)} vs {(q.family, q.m, q.n_detected)}"
         )
     if not (p.renormalized and q.renormalized):
-        raise InvalidComparisonError("total variation distance needs renormalized inputs")
+        raise InvalidComparisonError("comparison needs renormalized distributions")
     if not np.array_equal(p.states, q.states):
         raise InvalidComparisonError("state lists differ; probabilities are compared by position")
+
+
+def total_variation_distance(p: OutputDistribution, q: OutputDistribution) -> float:
+    """0.5 * sum |p_i - q_i| over a shared, renormalized family whose state
+    lists match row for row."""
+    _require_comparable(p, q)
     return float(0.5 * np.sum(np.abs(p.probs - q.probs)))
 
 

@@ -24,12 +24,12 @@ from .distribution import (
     LossConfig,
     OutputDistribution,
     _cdf,
-    _lossy_distributions,
+    _distributions,
+    _require_comparable,
 )
 from .errors import (
     DegenerateHypothesisError,
     InsufficientDataError,
-    InvalidComparisonError,
     InvalidConfigurationError,
 )
 from .linalg import haar_random_unitary
@@ -45,12 +45,7 @@ def likelihood_trajectory(
 
     events is a sequence of occupation vectors from the shared family.
     """
-    if (p_bs.family, p_bs.m, p_bs.n_detected) != (p_dist.family, p_dist.m, p_dist.n_detected):
-        raise InvalidComparisonError("hypothesis distributions must share one family")
-    if not (p_bs.renormalized and p_dist.renormalized):
-        raise InvalidComparisonError("hypothesis distributions must be renormalized")
-    if not np.array_equal(p_bs.states, p_dist.states):
-        raise InvalidComparisonError("state lists differ; probabilities are compared by position")
+    _require_comparable(p_bs, p_dist)
     idx = p_bs.indices_of(events)
     return np.exp(np.cumsum(_log_ratios(p_bs, p_dist)[idx]))
 
@@ -101,7 +96,7 @@ def _min_samples_single(u, n, loss, trials, confidence, stream_seed, max_samples
     m = u.shape[0]
     heralded = np.zeros(m, dtype=np.uint8)
     heralded[: n + loss.n_lost_in] = 1
-    p_bs, p_cl = _lossy_distributions(u, heralded, loss, (INDISTINGUISHABLE, DISTINGUISHABLE))
+    p_bs, p_cl = _distributions(u, heralded, loss, (INDISTINGUISHABLE, DISTINGUISHABLE))
     log_r = _log_ratios(p_bs, p_cl)
     cdf = _cdf(p_bs.probs)
     rng = np.random.Generator(np.random.PCG64(stream_seed))

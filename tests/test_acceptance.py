@@ -17,7 +17,6 @@ from scattershot.distribution import (
     INDISTINGUISHABLE,
     LossConfig,
     bs_probability,
-    detected_distribution,
     distinguishable_probability,
     full_distribution,
     lossy_distribution,
@@ -199,7 +198,9 @@ def test_criterion_08_tvd_wrong_input_table():
         alt = full_distribution(u, [2, 1, 0] + [0] * 12, renormalize=True)
         acc["2-1-0"].append(total_variation_distance(ref, alt))
         acc["2-1-1"].append(
-            total_variation_distance(ref, detected_distribution(u, [2, 1, 1] + [0] * 12, 1))
+            total_variation_distance(
+                ref, lossy_distribution(u, [2, 1, 1] + [0] * 12, LossConfig(0, 1))
+            )
         )
         acc["1-0-1-1"].append(
             total_variation_distance(
@@ -208,7 +209,7 @@ def test_criterion_08_tvd_wrong_input_table():
         )
         acc["1-1-1-1"].append(
             total_variation_distance(
-                ref, detected_distribution(u, [1, 1, 1, 1] + [0] * 11, 1)
+                ref, lossy_distribution(u, [1, 1, 1, 1] + [0] * 11, LossConfig(0, 1))
             )
         )
     elapsed = time.time() - t0

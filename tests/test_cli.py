@@ -1,3 +1,4 @@
+import argparse
 import json
 import tempfile
 from pathlib import Path
@@ -22,7 +23,6 @@ from scattershot.cli import (
 from scattershot.distribution import (
     LossConfig,
     OutputDistribution,
-    detected_distribution,
     full_distribution,
     lossy_distribution,
     sample_events,
@@ -298,7 +298,7 @@ def test_distribution_bunched_input_with_output_loss(tmp_path):
     assert main(["distribution", "--m", "6", "--seed", "4", "--input", "2:1:1:0:0:0",
                  "--loss-out", "1", "--format", "json", "--out", str(out)]) == 0
     u = haar_random_unitary(6, np.random.SeedSequence(4).spawn(2)[0])
-    want = detected_distribution(u, [2, 1, 1, 0, 0, 0], 1)
+    want = lossy_distribution(u, [2, 1, 1, 0, 0, 0], LossConfig(0, 1))
     got = distribution_from_file(str(out))
     assert np.array_equal(got.states, want.states)
     assert np.array_equal(got.probs, want.probs)
@@ -528,15 +528,9 @@ def test_supremacy_sweep_csv(tmp_path, spdc_config):
         assert float(r[5]) == pytest.approx(float(r[3]) / float(r[4]), rel=1e-12)
 
 
-def test_supremacy_platform_mismatch(tmp_path, spdc_config, capsys):
-    assert main(["supremacy", "--platform", "mw", "--config", spdc_config,
-                 "--m-min", "10", "--m-max", "20"]) == 2
-    assert "usage-error" in capsys.readouterr().err
-
-
 def test_supremacy_platform_missing_config(tmp_path, capsys):
     missing = tmp_path / "missing.json"
-    assert main(["supremacy", "--platform", "spdc", "--config", str(missing),
+    assert main(["supremacy", "--config", str(missing),
                  "--m-min", "10", "--m-max", "20"]) == 2
     assert "usage-error" in capsys.readouterr().err
 
@@ -569,8 +563,8 @@ def test_supremacy_header_records_demux_for_qd_only(tmp_path, spdc_config, qd_co
     configs = {}
     for name, path, extra in (("active", qd_config, []),
                               ("passive", qd_config, ["--demux", "passive"]),
-                              ("spdc", spdc_config, ["--demux", "passive"]),
-                              ("mw", mw_config, ["--demux", "passive"])):
+                              ("spdc", spdc_config, []),
+                              ("mw", mw_config, [])):
         out = tmp_path / f"{name}.csv"
         assert main(["supremacy", "--config", path, "--m-min", "10", "--m-max", "12",
                      "--out", str(out)] + extra) == 0
@@ -622,6 +616,11 @@ BAD_NUMERIC_FLAGS = {
                                     "--m-max", "12", "--include-lossy", "0"], 2, "usage-error"),
     "supremacy-include-lossy-mw": (["supremacy", "--config", "MW", "--m-min", "10",
                                     "--m-max", "12", "--include-lossy", "2"], 2, "usage-error"),
+    # only quantum-dot sources are demultiplexed
+    "supremacy-demux-spdc": (["supremacy", "--config", "SPDC", "--m-min", "10",
+                              "--m-max", "12", "--demux", "passive"], 2, "usage-error"),
+    "supremacy-demux-mw": (["supremacy", "--config", "MW", "--m-min", "10",
+                            "--m-max", "12", "--demux", "passive"], 2, "usage-error"),
     "permanent-partitions": (["permanent", "--matrix", "ONES", "--partitions", "0"],
                              1, "invalid-dimension"),
 }
@@ -637,6 +636,36 @@ def test_bad_numeric_flag_exits_with_category(case, ones_matrix, spdc_config, qd
     err = capsys.readouterr().err
     assert err.startswith(f"{category}: ")
     assert "Traceback" not in err
+
+
+_DIST_OPTIONS = ["--family", "--input", "--loss-in", "--loss-out", "--m", "--model", "--out",
+                 "--renormalize", "--seed", "--unitary"]
+CLI_SURFACE = {
+    "permanent": ["--matrix", "--method", "--partitions"],
+    "distribution": _DIST_OPTIONS + ["--format"],
+    "sample": _DIST_OPTIONS + ["--count"],
+    "tvd": ["--p", "--q"],
+    "validate": ["--confidence", "--detail", "--ensemble", "--loss-in", "--loss-out", "--m",
+                 "--max-samples", "--n", "--out", "--seed", "--trials"],
+    "sources": ["--config", "--m", "--n", "--n-lost", "--out", "--seed", "--trials"],
+    "supremacy": ["--a-prime", "--config", "--demux", "--include-lossy", "--m-max", "--m-min",
+                  "--out", "--step"],
+}
+
+
+def test_cli_surface_is_pinned():
+    # every flag change is a deliberate edit of CLI_SURFACE; each subcommand
+    # also takes --threads and -h/--help
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    got = {name: sorted(o for a in sp._actions for o in a.option_strings)
+           for name, sp in sub.choices.items()}
+    assert got == {name: sorted(opts + ["--threads", "--help", "-h"])
+                   for name, opts in CLI_SURFACE.items()}
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(["supremacy", "--platform", "spdc", "--config", "c.json",
+                           "--m-min", "10", "--m-max", "20"])
+    assert exc.value.code == 2
 
 
 def test_sources_spdc_rows_ignore_n_lost(spdc_config, capsys):

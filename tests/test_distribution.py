@@ -11,10 +11,9 @@ from scattershot.distribution import (
     LossConfig,
     OutputDistribution,
     _batch_probabilities,
-    _lossy_distributions,
+    _distributions,
     _marginal_over_output_loss,
     bs_probability,
-    detected_distribution,
     distinguishable_probability,
     full_distribution,
     lossy_distribution,
@@ -169,13 +168,6 @@ def test_output_loss_matches_direct_marginalization_oracle():
         assert prob == pytest.approx(oracle.get(kept, 0.0) / total, abs=1e-12)
 
 
-def test_detected_distribution_matches_lossy_path():
-    u = haar_random_unitary(7, 4)
-    via_lossy = lossy_distribution(u, [1, 1, 1, 0, 0, 0, 0], LossConfig(0, 1))
-    direct = detected_distribution(u, [1, 1, 1, 0, 0, 0, 0], 1)
-    assert np.allclose(via_lossy.probs, direct.probs, atol=1e-12)
-
-
 def _marginal_row_by_row(probs_n, modes_n, m, n_lost_out):
     """Reference output-loss binning: one dict lookup per (output, kept-photon subset)."""
     n = modes_n.shape[1]
@@ -214,11 +206,15 @@ def test_shared_builder_matches_separate_builds(loss):
     u = haar_random_unitary(8, 23)
     her = [1, 1, 1, 1, 0, 0, 0, 0]
     models = (INDISTINGUISHABLE, DISTINGUISHABLE)
-    for got, model in zip(_lossy_distributions(u, her, loss, models), models):
-        want = lossy_distribution(u, her, loss, model=model)
-        assert np.array_equal(got.states, want.states)
-        assert np.array_equal(got.probs, want.probs)
-        assert (got.raw_mass, got.meta) == (want.raw_mass, want.meta)
+    for got, model in zip(_distributions(u, her, loss, models), models):
+        wants = [lossy_distribution(u, her, loss, model=model)]
+        if loss == LossConfig(0, 0):
+            wants.append(full_distribution(u, her, model=model, renormalize=True))
+        for want in wants:
+            assert np.array_equal(got.states, want.states)
+            assert np.array_equal(got.probs, want.probs)
+            assert (got.raw_mass, got.family, got.renormalized) == (
+                want.raw_mass, want.family, want.renormalized)
 
 
 @pytest.mark.parametrize("inp", [[1, 1, 1, 0, 0, 0, 0], [2, 0, 1, 0, 0, 0, 0]])
@@ -231,13 +227,6 @@ def test_distinguishable_gather_equals_squared_complex_gather(inp):
     want = permanents_batch(np.abs(u[modes[:, :, None], in_modes]) ** 2)
     want /= np.prod([[math.factorial(int(k)) for k in row] for row in occ], axis=1)
     assert np.array_equal(_batch_probabilities(u, in_modes, modes, occ, DISTINGUISHABLE), want)
-
-
-def test_detected_distribution_needs_output_loss():
-    u = haar_random_unitary(5, 4)
-    for n_lost_out in (0, 3):
-        with pytest.raises(InvalidConfigurationError):
-            detected_distribution(u, [1, 1, 1, 0, 0], n_lost_out)
 
 
 def test_probabilities_must_match_states():

@@ -8,6 +8,7 @@ paths stay out of the metadata so reruns produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -44,11 +45,26 @@ def _meta_lines(command: str, config: dict) -> list[str]:
     ]
 
 
+def _read_text(path: str, what: str) -> str:
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(path).write_text(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
+
+
+def _table(command: str, config: dict, header: str, rows) -> str:
+    """A CSV artifact: the metadata lines, the header line(s), then the rows."""
+    return "\n".join([*_meta_lines(command, config), header, *rows]) + "\n"
 
 
 def _fmt(x: float) -> str:
@@ -57,70 +73,70 @@ def _fmt(x: float) -> str:
 
 # ---------------------------------------------------------------- configs
 
+# Per platform, its params dataclass and each config key's field. The
+# dataclasses hold every default; eta_D_schedule, like eta_D, sets eta_d.
+CONFIG_KEYS = {
+    "spdc": (src.SpdcParams, {"g": "g", "eta_T": "eta_t", "p_in": "p_in", "eta_D": "eta_d",
+                              "eta_D_schedule": "eta_d", "pump_rate": "pump_rate"}),
+    "qd": (src.QdParams, {"eta": "eta", "eta_dm": "eta_dm", "p_in": "p_in", "eta_D": "eta_d",
+                          "eta_D_schedule": "eta_d", "rep_rate": "rep_rate"}),
+    "mw": (src.MwParams, {"p_in": "p_in", "eta_D": "eta_d", "p_dark": "p_dark",
+                          "t_step": "t_step"}),
+}
+# keys of a {"kind": "linear", ...} eta_D_schedule, each a linear_eta_schedule argument
+SCHEDULE_KEYS = ("a", "b", "m0", "span")
+
+
+def _number(doc: dict, key: str) -> float:
+    value = doc[key]
+    finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max  # NaN fails
+    if isinstance(value, bool) or not finite:
+        raise UsageError(f"config key {key!r} must be a finite number, got {value!r}")
+    return float(value)
+
 
 def load_platform_config(path: str) -> dict:
     try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        doc = json.loads(_read_text(path, "config"))
+    except json.JSONDecodeError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(doc, dict) or "platform" not in doc:
         raise UsageError("config must be a JSON object with a 'platform' key")
-    if doc["platform"] not in ("spdc", "qd", "mw"):
+    if not isinstance(doc["platform"], str) or doc["platform"] not in CONFIG_KEYS:
         raise UsageError(f"unknown platform {doc['platform']!r}")
     return doc
 
 
 def eta_schedule_from_config(doc: dict):
-    sched = doc.get("eta_D_schedule")
-    if sched is None:
-        if "eta_D" in doc:
-            return sup.constant_eta_schedule(float(doc["eta_D"]))
-        return sup.linear_eta_schedule()
-    kind = sched.get("kind")
-    if kind == "linear":
-        return sup.linear_eta_schedule(
-            a=float(sched.get("a", 0.6)),
-            b=float(sched.get("b", 0.25)),
-            m0=int(sched.get("m0", 10)),
-            span=int(sched.get("span", 90)),
-        )
-    if kind == "constant":
-        return sup.constant_eta_schedule(float(sched["value"]))
-    raise UsageError(f"unknown eta_D schedule kind {kind!r}")
+    """eta_D per mode count: constant for a number eta_D, else the linear
+    eta_D_schedule, whose absent keys (or all of it) take linear_eta_schedule's defaults."""
+    if "eta_D" in doc:
+        if "eta_D_schedule" in doc:
+            raise UsageError("config sets both eta_D and eta_D_schedule")
+        return sup.constant_eta_schedule(_number(doc, "eta_D"))
+    sched = doc.get("eta_D_schedule", {"kind": "linear"})
+    if not isinstance(sched, dict) or sched.get("kind") != "linear":
+        raise UsageError(f'eta_D_schedule must be {{"kind": "linear", ...}}, got {sched!r}')
+    unknown = sorted(sched.keys() - {"kind", *SCHEDULE_KEYS})
+    if unknown:
+        raise UsageError(f"unknown eta_D_schedule key {unknown[0]!r}")
+    return sup.linear_eta_schedule(**{k: _number(sched, k) for k in SCHEDULE_KEYS if k in sched})
 
 
-def params_from_config(doc: dict, m: int | None = None):
-    """Build the platform parameter bundle; m resolves an eta_D schedule."""
-    platform = doc["platform"]
-    try:
-        if platform == "mw":
-            return src.MwParams(
-                p_in=float(doc["p_in"]),
-                eta_d=float(doc["eta_D"]),
-                p_dark=float(doc.get("p_dark", 0.0)),
-                t_step=float(doc.get("t_step", 0.3e-6)),
-            )
-        eta_d = doc.get("eta_D")
-        if eta_d is None:
-            if m is None:
-                raise UsageError(f"{platform} config with a schedule needs m to resolve eta_D")
-            eta_d = eta_schedule_from_config(doc)(m)
-        if platform == "spdc":
-            return src.SpdcParams(
-                g=float(doc["g"]),
-                eta_t=float(doc["eta_T"]),
-                p_in=float(doc["p_in"]),
-                eta_d=float(eta_d),
-                pump_rate=float(doc.get("pump_rate", 8.0e7)),
-            )
-        return src.QdParams(
-            eta=float(doc["eta"]),
-            eta_dm=float(doc.get("eta_dm", 1.0)),
-            p_in=float(doc["p_in"]),
-            eta_d=float(eta_d),
-        )
-    except KeyError as exc:
-        raise UsageError(f"config missing key {exc}") from exc
+def params_from_config(doc: dict, m: int):
+    """The platform's params, with a scheduled eta_D resolved at m modes."""
+    cls, keys = CONFIG_KEYS[doc["platform"]]
+    unknown = sorted(doc.keys() - keys.keys() - {"platform"})
+    if unknown:
+        raise UsageError(f"unknown {doc['platform']} config key {unknown[0]!r}")
+    fields = {keys[k]: _number(doc, k) for k in doc if k in keys and k != "eta_D_schedule"}
+    if "eta_D_schedule" in keys:
+        fields["eta_d"] = eta_schedule_from_config(doc)(m)
+    required = {f.name for f in dataclasses.fields(cls) if f.default is dataclasses.MISSING}
+    missing = sorted(k for k, f in keys.items() if f in required - fields.keys())
+    if missing:
+        raise UsageError(f"config missing key {missing[0]!r}")
+    return cls(**fields)
 
 
 # ------------------------------------------------------- distribution io
@@ -141,18 +157,16 @@ def distribution_to_json(dist: dstr.OutputDistribution, command: str, config: di
 
 
 def distribution_to_csv(dist: dstr.OutputDistribution, command: str, config: dict) -> str:
-    lines = _meta_lines(command, config)
-    lines.append(
-        f"# m={dist.m} n={dist.n_detected} family={dist.family} "
-        f"renormalized={dist.renormalized} raw_mass={_fmt(dist.raw_mass)}"
-    )
-    lines.append("state,probability")
+    header = (f"# m={dist.m} n={dist.n_detected} family={dist.family} "
+              f"renormalized={dist.renormalized} raw_mass={_fmt(dist.raw_mass)}\n"
+              "state,probability")
+    chunks = []
     for start in range(0, len(dist), st.FORMAT_CHUNK):
         rows = slice(start, start + st.FORMAT_CHUNK)
         texts = st.format_states(dist.states[rows])
         # one string per chunk: no K-long list of small line strings
-        lines.append("\n".join(f"{s},{p!r}" for s, p in zip(texts, dist.probs[rows].tolist())))
-    return "\n".join(lines) + "\n"
+        chunks.append("\n".join(f"{s},{p!r}" for s, p in zip(texts, dist.probs[rows].tolist())))
+    return _table(command, config, header, chunks)
 
 
 def _parse_states(texts: list, m: int, n: int, path: str) -> np.ndarray:
@@ -180,7 +194,7 @@ def _parse_states(texts: list, m: int, n: int, path: str) -> np.ndarray:
 
 
 def distribution_from_file(path: str) -> dstr.OutputDistribution:
-    text = Path(path).read_text()
+    text = _read_text(path, "distribution")
     if text.lstrip().startswith("{"):
         try:
             doc = json.loads(text)
@@ -238,11 +252,12 @@ def distribution_from_file(path: str) -> dstr.OutputDistribution:
 
 def _read_matrix(path: str) -> np.ndarray:
     """Matrix JSON from `path`; unreadable, unparsable or incomplete files exit 2."""
+    text = _read_text(path, "matrix")
     try:
-        return matrix_from_json(Path(path).read_text())
+        return matrix_from_json(text)
     except ScattershotError:
         raise
-    except (OSError, ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
+    except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
         raise UsageError(f"cannot read matrix {path}: {exc!r}") from exc
 
 
@@ -321,10 +336,7 @@ def cmd_sample(args) -> int:
     events = dstr.sample_events(dist, rng, args.count)
     config = {**ucfg, "input": args.input, "model": args.model, "count": args.count,
               "seed": args.seed, "loss_in": args.loss_in, "loss_out": args.loss_out}
-    lines = _meta_lines("sample", config)
-    lines.append("event")
-    lines.extend(st.format_states(events))
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write_text(args.out, _table("sample", config, "event", st.format_states(events)))
     return 0
 
 
@@ -352,20 +364,17 @@ def cmd_validate(args) -> int:
         "ensemble": args.ensemble, "trials": args.trials,
         "confidence": args.confidence, "seed": args.seed,
     }
-    lines = _meta_lines("validate", config)
-    lines.append("m,n,n_detected,loss_in,loss_out,min_samples_mean,min_samples_std,"
-                 "unitaries,trials,confidence")
-    lines.append(
+    header = ("m,n,n_detected,loss_in,loss_out,min_samples_mean,min_samples_std,"
+              "unitaries,trials,confidence")
+    row = (
         f"{result.m},{result.n},{result.n_detected},{loss.n_lost_in},{loss.n_lost_out},"
         f"{_fmt(result.min_samples_mean)},{_fmt(result.min_samples_std)},"
         f"{result.unitaries_used},{result.trials_per_unitary},{_fmt(result.confidence)}"
     )
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write_text(args.out, _table("validate", config, header, [row]))
     if args.detail:
-        dl = _meta_lines("validate", config)
-        dl.append("unitary_index,min_samples")
-        dl.extend(f"{i},{v}" for i, v in enumerate(result.per_unitary))
-        Path(args.detail).write_text("\n".join(dl) + "\n")
+        _write_text(args.detail, _table("validate", config, "unitary_index,min_samples",
+                                        (f"{i},{v}" for i, v in enumerate(result.per_unitary))))
     return 0
 
 
@@ -373,9 +382,9 @@ def cmd_sources(args) -> int:
     doc = load_platform_config(args.config)
     params = params_from_config(doc, m=args.m)
     if doc["platform"] == "qd":
-        lines = ["class,analytic"]
-        for demux in ("passive", "active"):
-            lines.append(f"{demux},{_fmt(src.p_qd(args.n, args.n, params, demux))}")
+        header = "class,analytic"
+        lines = [f"{demux},{_fmt(src.p_qd(args.n, args.n, params, demux))}"
+                 for demux in ("passive", "active")]
     else:
         if doc["platform"] == "spdc":
             mc = src.monte_carlo_spdc(
@@ -396,15 +405,12 @@ def cmd_sources(args) -> int:
             )
             rows = [(f"lossy{k}", src.p_mw_lossy_dark(args.m, args.n, k, params), mc[k])
                     for k in range(0, args.n_lost + 1)]
-        lines = ["class,analytic,mc_estimate,mc_stderr,sigmas"]
-        for name, analytic, est in rows:
-            lines.append(
-                f"{name},{_fmt(analytic)},{_fmt(est.probability)},{_fmt(est.stderr)},"
-                f"{_fmt(est.sigmas_from(analytic))}"
-            )
+        header = "class,analytic,mc_estimate,mc_stderr,sigmas"
+        lines = [f"{name},{_fmt(analytic)},{_fmt(est.probability)},{_fmt(est.stderr)},"
+                 f"{_fmt(est.sigmas_from(analytic))}" for name, analytic, est in rows]
     config = {"platform": doc["platform"], "m": args.m, "n": args.n,
               "n_lost": args.n_lost, "trials": args.trials, "seed": args.seed}
-    _write_text(args.out, "\n".join(_meta_lines("sources", config) + lines) + "\n")
+    _write_text(args.out, _table("sources", config, header, lines))
     return 0
 
 
@@ -436,8 +442,7 @@ def cmd_supremacy(args) -> int:
         )
     elif platform == "qd":
         points = sup.supremacy_sweep_qd(
-            m_range, params, demux=args.demux,
-            rep_rate=float(doc.get("rep_rate", 8.0e7)), a_prime=args.a_prime,
+            m_range, params, demux=args.demux, a_prime=args.a_prime,
             eta_schedule=eta_schedule_from_config(doc),
         )
     else:
@@ -447,13 +452,10 @@ def cmd_supremacy(args) -> int:
               "include_lossy": args.include_lossy}
     if platform == "qd":
         config["demux"] = args.demux
-    lines = _meta_lines("supremacy", config)
-    lines.append("m,n_policy,event_class,t_c,t_q,ratio")
-    for p in points:
-        lines.append(
-            f"{p.m},{p.n_policy},{p.event_class},{_fmt(p.t_c)},{_fmt(p.t_q)},{_fmt(p.ratio)}"
-        )
-    _write_text(args.out, "\n".join(lines) + "\n")
+    rows = (f"{p.m},{p.n_policy},{p.event_class},{_fmt(p.t_c)},{_fmt(p.t_q)},{_fmt(p.ratio)}"
+            for p in points)
+    _write_text(args.out, _table("supremacy", config, "m,n_policy,event_class,t_c,t_q,ratio",
+                                 rows))
     return 0
 
 

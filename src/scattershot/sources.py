@@ -39,6 +39,11 @@ def _check_prob(name: str, value: float) -> None:
         raise InvalidConfigurationError(f"{name} must lie in [0, 1], got {value}")
 
 
+def _check_positive(name: str, value: float) -> None:
+    if not value > 0:  # NaN fails too
+        raise InvalidConfigurationError(f"{name} must be positive, got {value}")
+
+
 @dataclass(frozen=True)
 class SpdcParams:
     """SPDC scattershot parameters: g, eta_t, p_in, eta_d, pump rate (Hz)."""
@@ -54,33 +59,28 @@ class SpdcParams:
             _check_prob(name, getattr(self, name))
         if self.g + self.g**2 > 1.0:
             raise InvalidConfigurationError(f"g + g^2 must be <= 1, got g={self.g}")
-        if self.pump_rate <= 0:
-            raise InvalidConfigurationError("pump_rate must be positive")
+        _check_positive("pump_rate", self.pump_rate)
 
     @property
     def eta_t2(self) -> float:
         """Pair-click trigger efficiency 1 - (1 - eta_t)^2."""
         return 1.0 - (1.0 - self.eta_t) ** 2
 
-    def with_eta_d(self, eta_d: float) -> "SpdcParams":
-        return SpdcParams(self.g, self.eta_t, self.p_in, eta_d, self.pump_rate)
-
 
 @dataclass(frozen=True)
 class QdParams:
-    """Quantum-dot parameters: source, demux, injection, detection efficiencies."""
+    """Quantum-dot parameters: source, injection, detection, demux efficiencies, rate (Hz)."""
 
     eta: float
-    eta_dm: float
     p_in: float
     eta_d: float
+    eta_dm: float = 1.0
+    rep_rate: float = 8.0e7
 
     def __post_init__(self):
         for name in ("eta", "eta_dm", "p_in", "eta_d"):
             _check_prob(name, getattr(self, name))
-
-    def with_eta_d(self, eta_d: float) -> "QdParams":
-        return QdParams(self.eta, self.eta_dm, self.p_in, eta_d)
+        _check_positive("rep_rate", self.rep_rate)
 
 
 @dataclass(frozen=True)
@@ -89,14 +89,13 @@ class MwParams:
 
     p_in: float
     eta_d: float
-    p_dark: float
+    p_dark: float = 0.0
     t_step: float = 0.3e-6
 
     def __post_init__(self):
         for name in ("p_in", "eta_d", "p_dark"):
             _check_prob(name, getattr(self, name))
-        if self.t_step <= 0:
-            raise InvalidConfigurationError("t_step must be positive")
+        _check_positive("t_step", self.t_step)
 
 
 def _log_pow(base: float, k: float) -> float:

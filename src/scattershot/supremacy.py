@@ -13,7 +13,7 @@ classical time, the per-event quantum time and their ratio.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import exp, inf, log
 
 from . import sources as src
@@ -38,11 +38,7 @@ def _exp_or_inf(log_value: float) -> float:
 
 def t_classical(m: int, n: int, a_prime: float = A_PRIME_TIANHE2) -> float:
     """Brute-force time A' n 2^n C(m, n) to compute and sample one n-photon event."""
-    if not 1 <= n <= m:
-        raise InvalidConfigurationError(f"need 1 <= n <= m, got n={n}, m={m}")
-    if a_prime <= 0:
-        raise InvalidConfigurationError("a_prime must be positive")
-    return _exp_or_inf(log(a_prime) + log(n) + n * log(2.0) + _log_comb(m, n))
+    return t_classical_lossy(m, n, LossConfig(0, 0), a_prime)
 
 
 def t_classical_lossy(
@@ -54,11 +50,13 @@ def t_classical_lossy(
     output losses enlarge the per-pattern enumeration by the
     C(m - n_det, l_out) supersets of each detected n_det = n - l_out pattern.
     """
+    if not 0 < a_prime < inf:  # NaN fails too
+        raise InvalidConfigurationError(f"a_prime must be positive and finite, got {a_prime}")
     n_det = n - loss.n_lost_out
     if n_det < 1:
-        raise InvalidConfigurationError(f"output losses {loss.n_lost_out} leave no photons")
+        raise InvalidConfigurationError(f"n={n} with {loss.n_lost_out} output losses detects none")
     if n + loss.n_lost_in > m:
-        raise InvalidConfigurationError("heralded photons exceed mode count")
+        raise InvalidConfigurationError(f"heralded photons exceed mode count m={m}")
     lt = (
         log(a_prime)
         + log(n)
@@ -74,7 +72,8 @@ def t_classical_lossy_either(m: int, n_triggered: int, n_lost: int, a_prime: flo
     """Classical time for an n_triggered event with n_lost photons lost at an
     unknown location, averaged uniformly over the loss splits.
 
-    A split with l_in input losses propagates n_triggered - l_in photons.
+    A split with l_in input losses propagates n_triggered - l_in photons;
+    n_lost = 0 is the lossless cost t_classical.
     """
     total = 0.0
     for l_in in range(0, n_lost + 1):
@@ -145,8 +144,7 @@ def _sweep(m_range, a_prime: float, events_at) -> list[SupremacyPoint]:
         sums = [[0.0, 0.0] for _ in classes]
         for n, probs in events:
             for k, p in enumerate(probs):
-                t_c = (t_classical(m, n, a_prime) if k == 0
-                       else t_classical_lossy_either(m, n, k, a_prime))
+                t_c = t_classical_lossy_either(m, n, k, a_prime)
                 for acc in (sums[k], sums[-1]):
                     acc[0] += p
                     acc[1] += p * t_c
@@ -176,7 +174,7 @@ def supremacy_sweep_spdc(
         ns = scattershot_photon_range(m)
         if not ns:
             return None
-        pars = params.with_eta_d(eta_schedule(m))
+        pars = replace(params, eta_d=eta_schedule(m))
         events = [
             (n, [src.p_sbs(m, n, pars)]
              + [src.p_sbs_lossy(m, n, k, pars) for k in range(1, include_lossy_up_to + 1)])
@@ -191,7 +189,6 @@ def supremacy_sweep_qd(
     m_range,
     params: src.QdParams,
     demux: str = "active",
-    rep_rate: float = 8.0e7,
     a_prime: float = A_PRIME_TIANHE2,
     eta_schedule=None,
 ) -> list[SupremacyPoint]:
@@ -203,9 +200,9 @@ def supremacy_sweep_qd(
         n = max_photons_under_complexity(m, minimum=2)
         if n is None:
             return None
-        pars = params.with_eta_d(eta_schedule(m))
+        pars = replace(params, eta_d=eta_schedule(m))
         probs = [src.p_qd(n, n, pars, demux), src.p_qd_lossy_one(n, n, pars, demux)]
-        return f"n={n}", rep_rate, [(n, probs)]
+        return f"n={n}", params.rep_rate, [(n, probs)]
 
     return _sweep(m_range, a_prime, events_at)
 

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import tempfile
 from pathlib import Path
@@ -11,6 +12,8 @@ from hypothesis import strategies as hst
 from scattershot import __version__, sources
 from scattershot import states as st
 from scattershot.cli import (
+    CONFIG_KEYS,
+    SCHEDULE_KEYS,
     UsageError,
     _meta_lines,
     _parse_states,
@@ -28,6 +31,11 @@ from scattershot.distribution import (
     sample_events,
 )
 from scattershot.linalg import haar_random_unitary, matrix_to_json
+from scattershot.supremacy import (
+    constant_eta_schedule,
+    linear_eta_schedule,
+    supremacy_sweep_spdc,
+)
 
 
 @pytest.fixture
@@ -40,11 +48,7 @@ def ones_matrix(tmp_path):
 @pytest.fixture
 def spdc_config(tmp_path):
     path = tmp_path / "spdc.json"
-    path.write_text(json.dumps({
-        "platform": "spdc", "g": 0.02, "eta_T": 0.6, "p_in": 0.7,
-        "eta_D_schedule": {"kind": "linear", "a": 0.6, "b": 0.25, "m0": 10, "span": 90},
-        "pump_rate": 8.0e7,
-    }))
+    path.write_text(json.dumps(SPDC_CONFIG))
     return str(path)
 
 
@@ -535,6 +539,11 @@ def test_supremacy_platform_missing_config(tmp_path, capsys):
     assert "usage-error" in capsys.readouterr().err
 
 
+SPDC_CONFIG = {
+    "platform": "spdc", "g": 0.02, "eta_T": 0.6, "p_in": 0.7,
+    "eta_D_schedule": {"kind": "linear", "a": 0.6, "b": 0.25, "m0": 10, "span": 90},
+    "pump_rate": 8.0e7,
+}
 QD_CONFIG = {
     "platform": "qd", "eta": 0.35, "eta_dm": 0.7, "p_in": 0.7,
     "eta_D_schedule": {"kind": "linear", "a": 0.6, "b": 0.25, "m0": 10, "span": 90},
@@ -623,6 +632,9 @@ BAD_NUMERIC_FLAGS = {
                             "--m-max", "12", "--demux", "passive"], 2, "usage-error"),
     "permanent-partitions": (["permanent", "--matrix", "ONES", "--partitions", "0"],
                              1, "invalid-dimension"),
+    **{f"supremacy-a-prime-{v}": (["supremacy", "--config", "SPDC", "--m-min", "10",
+                                   "--m-max", "12", "--a-prime", v], 1, "invalid-configuration")
+       for v in ("nan", "inf", "0", "-1")},
 }
 
 
@@ -707,6 +719,109 @@ def test_sources_mw_more_photons_than_modes_is_usage_error(tmp_path, capsys, mon
     monkeypatch.setattr(sources, "monte_carlo_mw", no_monte_carlo)
     assert main(["sources", "--config", str(config), "--m", "2", "--n", "3",
                  "--trials", "20000", "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage-error: ") and "Traceback" not in err
+
+
+LINEAR = SPDC_CONFIG["eta_D_schedule"]
+# name: (config, exit code, category, text the message must hold)
+BAD_CONFIGS = {
+    "both-eta-d": ({**SPDC_CONFIG, "eta_D": 0.6}, 2, "usage-error", "eta_D_schedule"),
+    "mistyped-key": ({**SPDC_CONFIG, "eta_d": 0.95}, 2, "usage-error", "'eta_d'"),
+    "g-string": ({**SPDC_CONFIG, "g": "abc"}, 2, "usage-error", "'g'"),
+    "g-null": ({**SPDC_CONFIG, "g": None}, 2, "usage-error", "'g'"),
+    "g-bool": ({**SPDC_CONFIG, "g": True}, 2, "usage-error", "'g'"),
+    "g-nan": ({**SPDC_CONFIG, "g": float("nan")}, 2, "usage-error", "'g'"),
+    "g-missing": ({k: v for k, v in SPDC_CONFIG.items() if k != "g"}, 2, "usage-error", "'g'"),
+    "schedule-number": ({**SPDC_CONFIG, "eta_D_schedule": 5}, 2, "usage-error",
+                        "eta_D_schedule"),
+    "schedule-constant": ({**SPDC_CONFIG, "eta_D_schedule": {"kind": "constant", "value": 0.6}},
+                          2, "usage-error", "eta_D_schedule"),
+    "schedule-unknown-key": ({**SPDC_CONFIG, "eta_D_schedule": {**LINEAR, "slope": 0.1}},
+                             2, "usage-error", "'slope'"),
+    "schedule-string-value": ({**SPDC_CONFIG, "eta_D_schedule": {**LINEAR, "a": "0.6"}},
+                              2, "usage-error", "'a'"),
+    "qd-rep-rate": ({**QD_CONFIG, "rep_rate": -1}, 1, "invalid-configuration", "rep_rate"),
+    "mw-schedule": ({**MW_CONFIG, "eta_D_schedule": LINEAR}, 2, "usage-error",
+                    "'eta_D_schedule'"),
+    "mw-missing-eta-d": ({k: v for k, v in MW_CONFIG.items() if k != "eta_D"}, 2,
+                         "usage-error", "'eta_D'"),
+    "platform-list": ({**MW_CONFIG, "platform": ["mw"]}, 2, "usage-error", "platform"),
+}
+COMMANDS = {
+    "sources": ["--m", "6", "--n", "2", "--trials", "1000"],
+    "supremacy": ["--m-min", "10", "--m-max", "12"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_bad_config_exits_with_category(case, command, tmp_path, capsys):
+    doc, code, category, needle = BAD_CONFIGS[case]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert main([command, "--config", str(config), *COMMANDS[command]]) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"{category}: ") and needle in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_config_schema_is_pinned():
+    # every config key change is a deliberate edit of this literal
+    assert {p: (cls.__name__, keys) for p, (cls, keys) in CONFIG_KEYS.items()} == {
+        "spdc": ("SpdcParams", {"g": "g", "eta_T": "eta_t", "p_in": "p_in", "eta_D": "eta_d",
+                                "eta_D_schedule": "eta_d", "pump_rate": "pump_rate"}),
+        "qd": ("QdParams", {"eta": "eta", "eta_dm": "eta_dm", "p_in": "p_in", "eta_D": "eta_d",
+                            "eta_D_schedule": "eta_d", "rep_rate": "rep_rate"}),
+        "mw": ("MwParams", {"p_in": "p_in", "eta_D": "eta_d", "p_dark": "p_dark",
+                            "t_step": "t_step"}),
+    }
+    assert SCHEDULE_KEYS == ("a", "b", "m0", "span")
+    # every params field can be set from a config
+    for cls, keys in CONFIG_KEYS.values():
+        assert set(keys.values()) == {f.name for f in dataclasses.fields(cls)}
+
+
+def test_sources_qd_rows_equal_p_qd(qd_config, capsys):
+    assert main(["sources", "--config", qd_config, "--m", "16", "--n", "3"]) == 0
+    rows = [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("#")]
+    params = sources.QdParams(eta=0.35, eta_dm=0.7, p_in=0.7,
+                              eta_d=linear_eta_schedule(0.6, 0.25, 10, 90)(16))
+    assert rows == ["class,analytic"] + [f"{d},{sources.p_qd(3, 3, params, d)!r}"
+                                         for d in ("passive", "active")]
+
+
+def test_supremacy_constant_eta_d_matches_library(tmp_path):
+    doc = {k: v for k, v in SPDC_CONFIG.items() if k != "eta_D_schedule"}
+    config = tmp_path / "spdc.json"
+    config.write_text(json.dumps({**doc, "eta_D": 0.5}))
+    out = tmp_path / "sweep.csv"
+    assert main(["supremacy", "--config", str(config), "--m-min", "10", "--m-max", "60",
+                 "--step", "5", "--include-lossy", "2", "--out", str(out)]) == 0
+    params = sources.SpdcParams(g=0.02, eta_t=0.6, p_in=0.7, eta_d=0.5, pump_rate=8.0e7)
+    points = supremacy_sweep_spdc(range(10, 61, 5), params, include_lossy_up_to=2,
+                                  eta_schedule=constant_eta_schedule(0.5))
+    assert _sweep_rows(out) == [[str(p.m), p.n_policy, p.event_class, repr(p.t_c),
+                                 repr(p.t_q), repr(p.ratio)] for p in points]
+
+
+@pytest.mark.parametrize("content", [None, b"\xff\xfe\x00\x81"], ids=["missing", "binary"])
+def test_tvd_unreadable_file_is_usage_error(tmp_path, capsys, content):
+    path = tmp_path / "p.csv"
+    if content is not None:
+        path.write_bytes(content)
+    assert main(["tvd", "--p", str(path), "--q", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage-error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["distribution", "--m", "4", "--input", "1:1:0:0", "--out"],
+    ["validate", "--m", "6", "--n", "2", "--ensemble", "2", "--trials", "50", "--out"],
+    ["validate", "--m", "6", "--n", "2", "--ensemble", "2", "--trials", "50", "--detail"],
+], ids=["distribution-out", "validate-out", "validate-detail"])
+def test_unwritable_output_is_usage_error(tmp_path, capsys, argv):
+    assert main(argv + [str(tmp_path / "missing" / "x.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage-error: ") and "Traceback" not in err
 

@@ -2,6 +2,7 @@ import math
 import os
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from math import comb
 
 import numpy as np
@@ -153,7 +154,7 @@ def test_p_gen2_completeness():
 
 
 def test_p_sbs_no_detection():
-    assert p_sbs(6, 2, SPDC_REF.with_eta_d(0.0)) == 0.0
+    assert p_sbs(6, 2, replace(SPDC_REF, eta_d=0.0)) == 0.0
 
 
 def test_p_sbs_leading_order_small_g():
@@ -230,7 +231,7 @@ def test_success_to_fake_ratio_decreases_with_modes():
     prev = None
     for m in range(10, 101, 10):
         eta_d = 0.6 - 0.25 * (m - 10) / 90
-        params = SPDC_REF.with_eta_d(eta_d)
+        params = replace(SPDC_REF, eta_d=eta_d)
         ratio = p_sbs(m, 4, params) / p_sbs_fake(m, 4, params)
         if prev is not None:
             assert ratio < prev

@@ -358,6 +358,7 @@ def cmd_validate(args) -> int:
         confidence=args.confidence,
         seed=args.seed,
         max_samples=args.max_samples,
+        workers=args.threads,
     )
     config = {
         "m": args.m, "n": args.n, "loss_in": args.loss_in, "loss_out": args.loss_out,
@@ -382,6 +383,8 @@ def cmd_sources(args) -> int:
     doc = load_platform_config(args.config)
     params = params_from_config(doc, m=args.m)
     if doc["platform"] == "qd":
+        if not 1 <= args.n <= args.m:
+            raise InvalidConfigurationError(f"need 1 <= n <= m, got n={args.n}, m={args.m}")
         header = "class,analytic"
         lines = [f"{demux},{_fmt(src.p_qd(args.n, args.n, params, demux))}"
                  for demux in ("passive", "active")]
@@ -470,8 +473,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"scattershot {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def threads(text: str) -> int:
+        # a non-integer is argparse's own error; argparse lets UsageError through to main
+        value = int(text)
+        if value < 1:
+            raise UsageError(f"--threads must be >= 1, got {value}")
+        return value
+
     def add_threads(q):
-        q.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+        q.add_argument("--threads", type=threads, default=os.cpu_count() or 1,
                        help="worker count for parallel chunks (default: all cores); "
                             "never changes results")
 
@@ -559,8 +569,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage-error: {exc}", file=sys.stderr)

@@ -10,7 +10,13 @@ every propagated n-photon output (bunched ones included) onto its
 photon-subset sub-patterns, each located by its canonical rank
 (`states.state_ranks`), and renormalizes once over the collision-free
 detected family. `full_distribution` (lossless) and `lossy_distribution`
-are single calls into it; certification calls it for both models at once.
+are single calls into it; certification calls it for both models at once,
+on one basis (`_basis`) shared by the whole ensemble.
+
+The submatrix gather lives in the Glynn driver (`permanent._glynn_stack`):
+a build hands it the column block u[:, in_modes] and the output-mode rows,
+and each chunk gathers its own matrices, so the gather's temporaries stay
+within CHUNK_BYTES and a build's memory is a few vectors of the basis size.
 """
 from __future__ import annotations
 
@@ -27,7 +33,7 @@ from .errors import (
     InvalidDistributionError,
 )
 from .linalg import build_submatrix, mode_indices, occupation_factorial, photon_number
-from .permanent import permanent_glynn, permanents_batch
+from .permanent import _glynn_stack, permanent_glynn, permanents_batch
 
 INDISTINGUISHABLE = "indistinguishable"
 DISTINGUISHABLE = "distinguishable"
@@ -114,14 +120,15 @@ def distinguishable_probability(u: np.ndarray, input_state, output_state) -> flo
 def _batch_probabilities(u, in_modes, out_modes_stack, out_occ, model) -> np.ndarray:
     """Probabilities of every output pattern in the stack, one batch of permanents.
 
-    The distinguishable model gathers from the real |u[:, in_modes]|^2, which
-    holds the same entries as |gather|^2 without a complex copy of the stack.
+    The Glynn driver gathers the submatrices from the column block; the
+    distinguishable model hands it the real |u[:, in_modes]|^2, which holds
+    the same entries as |gather|^2.
     """
     if model == INDISTINGUISHABLE:
-        probs = np.abs(permanents_batch(u[out_modes_stack[:, :, None], in_modes])) ** 2
+        probs = np.abs(_glynn_stack(u[:, in_modes], 1, out_modes_stack)) ** 2
         probs /= math.prod(math.factorial(int(c)) for c in np.bincount(in_modes))
     elif model == DISTINGUISHABLE:
-        probs = permanents_batch((np.abs(u[:, in_modes]) ** 2)[out_modes_stack])
+        probs = _glynn_stack(np.abs(u[:, in_modes]) ** 2, 1, out_modes_stack)
     else:
         raise InvalidConfigurationError(f"unknown particle model {model!r}")
     n = out_modes_stack.shape[1]
@@ -158,16 +165,16 @@ class LossConfig:
         return self.n_lost_in + self.n_lost_out
 
 
-def _marginal_over_output_loss(probs_n, modes_n, m, n_lost_out):
-    """Bin n-photon probabilities onto their detected sub-patterns.
+def _output_loss_bins(modes_n, m, n_lost_out):
+    """Where each n-photon output's probability goes when n_lost_out photons are lost.
 
     Every photon is equally likely to be among the n_lost_out lost, so each
     n-photon output splits its probability uniformly over its C(n, n_lost_out)
     photon-subset sub-patterns (counted with multiplicity when modes collide).
-    Only collision-free detected patterns are kept; the caller renormalizes.
-    probs_n is one row of probabilities over modes_n or a stack of such rows;
-    the sub-pattern ranks are found once and bin every row. Returns raw values
-    aligned with the canonical detected-family enumeration, one row per input row.
+    Only collision-free detected patterns are kept. Returns (det_occ, targets,
+    per_output, share): the canonical detected family, the detected rank of
+    each kept sub-pattern in output order then subset order, the number each
+    output keeps, and the share 1 / C(n, n_lost_out) each sub-pattern gets.
     """
     n = modes_n.shape[1]
     n_det = n - n_lost_out
@@ -176,14 +183,25 @@ def _marginal_over_output_loss(probs_n, modes_n, m, n_lost_out):
     ranks = np.empty((modes_n.shape[0], len(kept)), dtype=np.int64)
     for j, cols in enumerate(kept):
         ranks[:, j] = st.state_ranks(modes_n[:, cols], m, st.COLLISION_FREE)
-    # row-major selection adds each output's sub-patterns in output order, then
-    # subset order; -1 marks a sub-pattern in which a collision survived
+    # row-major selection keeps output order, then subset order; -1 marks a
+    # sub-pattern in which a collision survived
     hit = ranks >= 0
-    targets, per_output = ranks[hit], hit.sum(axis=1)
-    scaled = np.asarray(probs_n) * (1.0 / math.comb(n, n_lost_out))
+    return det_occ, ranks[hit], hit.sum(axis=1), 1.0 / math.comb(n, n_lost_out)
+
+
+def _marginal_over_output_loss(probs_n, bins):
+    """Bin n-photon probabilities onto their detected sub-patterns.
+
+    probs_n is one row of probabilities over the propagated outputs of `bins`
+    (from _output_loss_bins) or a stack of such rows. Returns the detected
+    family and the raw values aligned with it, one row per input row; the
+    caller renormalizes.
+    """
+    det_occ, targets, per_output, share = bins
+    scaled = np.asarray(probs_n) * share
     out = np.stack([
         np.bincount(targets, weights=np.repeat(row, per_output), minlength=det_occ.shape[0])
-        for row in scaled.reshape(-1, modes_n.shape[0])
+        for row in scaled.reshape(-1, per_output.shape[0])
     ])
     return det_occ, out.reshape(scaled.shape[:-1] + (det_occ.shape[0],))
 
@@ -208,8 +226,22 @@ def lossy_distribution(
     return _distributions(u, heralded_state, loss, (model,))[0]
 
 
+def _basis(m: int, n: int, n_lost_out: int, family=st.COLLISION_FREE):
+    """(occ_n, modes_n, bins): the states a build needs besides the unitary.
+
+    occ_n and modes_n list the propagated n-photon outputs: `family` without
+    output loss, the full Fock family with it. bins is None without output
+    loss, else _output_loss_bins over those outputs. None of it depends on
+    the unitary, so an ensemble finds it once and hands it to every build.
+    """
+    if n_lost_out == 0:
+        return (*st.enumerate_states(m, n, family), None)
+    occ_n, modes_n = st.enumerate_states(m, n, st.FULL_FOCK)
+    return occ_n, modes_n, _output_loss_bins(modes_n, m, n_lost_out)
+
+
 def _distributions(u, state, loss: LossConfig, models, family=st.COLLISION_FREE,
-                   renormalize=True) -> list:
+                   renormalize=True, basis=None) -> list:
     """The distribution of each model in turn, all from one basis.
 
     state holds the heralded photons; loss.n_lost_in of them are lost before
@@ -218,11 +250,11 @@ def _distributions(u, state, loss: LossConfig, models, family=st.COLLISION_FREE,
     loss the result spans `family` and is renormalized if `renormalize`;
     with output loss the full Fock family of propagated outputs feeds the
     marginalization and the result is always renormalized over the
-    collision-free detected family. The propagated basis is enumerated once
-    and the output-loss sub-pattern ranks are found once; per injected subset
-    each model gathers and evaluates its own permanents, one model after the
-    other, so only one gathered stack is alive at a time. Each result equals
-    a one-model call bit for bit.
+    collision-free detected family. The propagated basis and the output-loss
+    sub-pattern ranks come from `basis` (see _basis), or are found here once
+    when it is None. Per injected subset each model evaluates its own
+    permanents, one model after the other. Each result equals a one-model
+    call bit for bit.
     """
     her = np.asarray(state)
     m = u.shape[0]
@@ -236,8 +268,9 @@ def _distributions(u, state, loss: LossConfig, models, family=st.COLLISION_FREE,
             f"losses ({loss.total}) must be fewer than heralded photons ({n_her})"
         )
     n = n_her - loss.n_lost_in
-    parents = st.FULL_FOCK if loss.n_lost_out > 0 else family
-    occ_n, modes_n = st.enumerate_states(m, n, parents)
+    if basis is None:
+        basis = _basis(m, n, loss.n_lost_out, family)
+    occ_n, modes_n, bins = basis
     subsets = list(combinations(mode_indices(her).tolist(), n))
     acc = np.zeros((len(models), modes_n.shape[0]), dtype=np.float64)
     for sub in subsets:
@@ -246,8 +279,8 @@ def _distributions(u, state, loss: LossConfig, models, family=st.COLLISION_FREE,
             row += _batch_probabilities(u, in_modes, modes_n, occ_n, model)
     acc /= len(subsets)
 
-    if loss.n_lost_out > 0:
-        occ, raw = _marginal_over_output_loss(acc, modes_n, m, loss.n_lost_out)
+    if bins is not None:
+        occ, raw = _marginal_over_output_loss(acc, bins)
         family, renormalize = st.COLLISION_FREE, True
     else:
         occ, raw = occ_n, acc

@@ -36,6 +36,11 @@ def _exp_or_inf(log_value: float) -> float:
     return inf if log_value > _LOG_MAX else exp(log_value)
 
 
+def _check_a_prime(a_prime: float) -> None:
+    if not 0 < a_prime < inf:  # NaN fails too
+        raise InvalidConfigurationError(f"a_prime must be positive and finite, got {a_prime}")
+
+
 def t_classical(m: int, n: int, a_prime: float = A_PRIME_TIANHE2) -> float:
     """Brute-force time A' n 2^n C(m, n) to compute and sample one n-photon event."""
     return t_classical_lossy(m, n, LossConfig(0, 0), a_prime)
@@ -50,8 +55,7 @@ def t_classical_lossy(
     output losses enlarge the per-pattern enumeration by the
     C(m - n_det, l_out) supersets of each detected n_det = n - l_out pattern.
     """
-    if not 0 < a_prime < inf:  # NaN fails too
-        raise InvalidConfigurationError(f"a_prime must be positive and finite, got {a_prime}")
+    _check_a_prime(a_prime)
     n_det = n - loss.n_lost_out
     if n_det < 1:
         raise InvalidConfigurationError(f"n={n} with {loss.n_lost_out} output losses detects none")
@@ -131,8 +135,10 @@ def _sweep(m_range, a_prime: float, events_at) -> list[SupremacyPoint]:
     every event in order. The reported t_c is the mean classical time per
     event of the class, t_q the mean wait for one such event, so
     ratio = t_c / t_q = rate * sum(P * t_c) compares the classical cost of
-    keeping up with the quantum event stream.
+    keeping up with the quantum event stream. a_prime is checked first, so a
+    range without events refuses a bad one too.
     """
+    _check_a_prime(a_prime)
     points = []
     for m in m_range:
         described = events_at(m)

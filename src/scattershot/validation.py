@@ -11,6 +11,11 @@ seed, but they are read by doubling prefixes: events are looked up and their
 log-ratios summed only for the columns of the next block, and reading stops at
 the first block that holds the answer. The answer is 10-120 in practice
 against a cap of hundreds to thousands, so most of each stream is never read.
+
+The ensemble shares one basis, and its unitaries may run on a thread pool;
+each one's minimum depends only on its own seeds. The Glynn driver gathers
+each build's submatrices chunk by chunk (see permanent.py), so a unitary
+holds a few vectors of the basis size and its (trials, max_samples) uniforms.
 """
 from __future__ import annotations
 
@@ -23,6 +28,7 @@ from .distribution import (
     INDISTINGUISHABLE,
     LossConfig,
     OutputDistribution,
+    _basis,
     _cdf,
     _distributions,
     _require_comparable,
@@ -33,6 +39,7 @@ from .errors import (
     InvalidConfigurationError,
 )
 from .linalg import haar_random_unitary
+from .sources import _pool_map
 
 # length of the first stream prefix read; each further block doubles it
 FIRST_PREFIX = 32
@@ -82,8 +89,10 @@ class ValidationResult:
             raise InvalidConfigurationError("minimum sample size below 1")
 
 
-def _min_samples_single(u, n, loss, trials, confidence, stream_seed, max_samples):
+def _min_samples_single(u, n, loss, trials, confidence, stream_seed, max_samples, basis):
     """Smallest N at which >= confidence of the trial streams have V_N > 1.
+
+    Both hypotheses are built on the ensemble's `basis` (distribution._basis).
 
     The (trials, max_samples) uniforms come from one draw, as a full read
     would use them, and are read by doubling prefixes: columns [done, end)
@@ -96,7 +105,8 @@ def _min_samples_single(u, n, loss, trials, confidence, stream_seed, max_samples
     m = u.shape[0]
     heralded = np.zeros(m, dtype=np.uint8)
     heralded[: n + loss.n_lost_in] = 1
-    p_bs, p_cl = _distributions(u, heralded, loss, (INDISTINGUISHABLE, DISTINGUISHABLE))
+    p_bs, p_cl = _distributions(u, heralded, loss, (INDISTINGUISHABLE, DISTINGUISHABLE),
+                                basis=basis)
     log_r = _log_ratios(p_bs, p_cl)
     cdf = _cdf(p_bs.probs)
     rng = np.random.Generator(np.random.PCG64(stream_seed))
@@ -126,6 +136,7 @@ def min_samples_to_validate(
     confidence: float = 0.95,
     seed: int = 0,
     max_samples: int = 2000,
+    workers: int = 1,
 ) -> ValidationResult:
     """Minimum data-set size to certify (lossy) sampling, Haar-ensemble averaged.
 
@@ -135,6 +146,10 @@ def min_samples_to_validate(
     and the per-unitary minimum is the smallest N whose streams exceed V = 1
     at the confidence level. Seeds for unitaries and streams derive from the
     single seed, so results are reproducible and order-independent.
+
+    The ensemble shares one basis. Unitaries run on up to `workers` threads
+    (capped at the ensemble size and the CPU count) and their minima are
+    assembled by index, so the result is the same for any worker count.
     """
     if ensemble < 2:
         raise InvalidConfigurationError("need an ensemble of at least 2 unitaries")
@@ -149,14 +164,15 @@ def min_samples_to_validate(
         raise InvalidConfigurationError("output losses leave no detected photons")
     if n + loss.n_lost_in > m:
         raise InvalidConfigurationError("heralded photons exceed mode count")
-    root = np.random.SeedSequence(seed)
-    per_unitary = np.empty(ensemble, dtype=np.int64)
-    for i, child in enumerate(root.spawn(ensemble)):
+    basis = _basis(m, n, loss.n_lost_out)
+
+    def single(child):
         u_ss, stream_ss = child.spawn(2)
         u = haar_random_unitary(m, u_ss)
-        per_unitary[i] = _min_samples_single(
-            u, n, loss, trials, confidence, stream_ss, max_samples
-        )
+        return _min_samples_single(u, n, loss, trials, confidence, stream_ss, max_samples, basis)
+
+    children = np.random.SeedSequence(seed).spawn(ensemble)
+    per_unitary = np.array(_pool_map(single, children, workers), dtype=np.int64)
     return ValidationResult(
         m=m,
         n=n,

@@ -488,6 +488,28 @@ VALIDATE_PINNED = {
 }
 
 
+# per-unitary minima and summary row at m=20, n=3, written before the Glynn
+# driver gathered submatrices itself and before unitaries ran on threads
+VALIDATE_M20_PINNED = {
+    ("0", "0"): ([20, 13, 15, 13], "20,3,3,0,0,15.25,3.304037933599835,4,200,0.95"),
+    ("1", "0"): ([46, 42, 45, 58], "20,3,3,1,0,47.75,7.041543391425869,4,200,0.95"),
+    ("0", "1"): ([87, 69, 96, 81], "20,3,2,0,1,83.25,11.324751652906125,4,200,0.95"),
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("loss", sorted(VALIDATE_M20_PINNED))
+def test_validate_values_are_pinned(tmp_path, loss, threads):
+    minima, summary = VALIDATE_M20_PINNED[loss]
+    out, detail = tmp_path / "o.csv", tmp_path / "detail.csv"
+    assert main(["validate", "--m", "20", "--n", "3", "--loss-in", loss[0], "--loss-out", loss[1],
+                 "--ensemble", "4", "--trials", "200", "--max-samples", "1500", "--seed", "6",
+                 "--threads", threads, "--out", str(out), "--detail", str(detail)]) == 0
+    lines = [ln for ln in detail.read_text().splitlines() if not ln.startswith("#")]
+    assert lines == ["unitary_index,min_samples"] + [f"{i},{v}" for i, v in enumerate(minima)]
+    assert out.read_text().splitlines()[-1] == summary
+
+
 @pytest.mark.parametrize("loss_out", sorted(VALIDATE_PINNED))
 def test_validate_detail_matches_pinned_minima(tmp_path, loss_out):
     minima, summary = VALIDATE_PINNED[loss_out]
@@ -635,6 +657,17 @@ BAD_NUMERIC_FLAGS = {
     **{f"supremacy-a-prime-{v}": (["supremacy", "--config", "SPDC", "--m-min", "10",
                                    "--m-max", "12", "--a-prime", v], 1, "invalid-configuration")
        for v in ("nan", "inf", "0", "-1")},
+    # no SPDC event window below m=10: the sweep is empty, --a-prime is still checked
+    "supremacy-a-prime-empty-sweep": (["supremacy", "--config", "SPDC", "--m-min", "1",
+                                       "--m-max", "6", "--a-prime", "nan"],
+                                      1, "invalid-configuration"),
+    **{f"sources-threads-{v}": (["sources", "--config", "SPDC", "--m", "6", "--n", "2",
+                                 "--trials", "20000", "--threads", v], 2, "usage-error")
+       for v in ("0", "-3")},
+    "validate-threads-0": (["validate", "--m", "6", "--n", "2", "--ensemble", "2",
+                            "--trials", "50", "--threads", "0"], 2, "usage-error"),
+    "sources-qd-n-above-m": (["sources", "--config", "QD", "--m", "3", "--n", "5"],
+                             1, "invalid-configuration"),
 }
 
 

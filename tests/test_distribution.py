@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from scattershot.distribution import (
     _batch_probabilities,
     _distributions,
     _marginal_over_output_loss,
+    _output_loss_bins,
     bs_probability,
     distinguishable_probability,
     full_distribution,
@@ -193,7 +195,7 @@ def test_output_loss_binning_matches_row_by_row_reference(n_lost_out, model, inp
     occ, modes = st.enumerate_states(m, 4, st.FULL_FOCK)
     probs = _batch_probabilities(u, mode_indices(inp), modes, occ, model)
     want_occ, want = _marginal_row_by_row(probs, modes, m, n_lost_out)
-    got_occ, got = _marginal_over_output_loss(probs, modes, m, n_lost_out)
+    got_occ, got = _marginal_over_output_loss(probs, _output_loss_bins(modes, m, n_lost_out))
     assert np.array_equal(got_occ, want_occ)
     assert np.array_equal(got, want)
     d = lossy_distribution(u, inp, LossConfig(0, n_lost_out), model=model)
@@ -227,6 +229,35 @@ def test_distinguishable_gather_equals_squared_complex_gather(inp):
     want = permanents_batch(np.abs(u[modes[:, :, None], in_modes]) ** 2)
     want /= np.prod([[math.factorial(int(k)) for k in row] for row in occ], axis=1)
     assert np.array_equal(_batch_probabilities(u, in_modes, modes, occ, DISTINGUISHABLE), want)
+
+
+@pytest.mark.parametrize("model", [INDISTINGUISHABLE, DISTINGUISHABLE])
+def test_batch_probabilities_match_materialized_gather(model):
+    # a bunched heralded input (two photons in mode 0) over full-Fock outputs;
+    # the reference builds the whole (K, n, n) gather first
+    u = haar_random_unitary(7, 8)
+    in_modes = mode_indices([2, 0, 1, 1, 0, 0, 0])
+    occ, modes = st.enumerate_states(7, 4, st.FULL_FOCK)
+    stack = u[modes[:, :, None], in_modes]
+    if model == INDISTINGUISHABLE:
+        want = np.abs(permanents_batch(stack)) ** 2 / 2.0
+    else:
+        want = permanents_batch(np.abs(stack) ** 2)
+    want /= np.prod([[math.factorial(int(k)) for k in row] for row in occ], axis=1)
+    assert np.array_equal(_batch_probabilities(u, in_modes, modes, occ, model), want)
+
+
+def test_two_model_build_memory_is_bounded():
+    # 77520 states at m=20, n=7: their gathered (K, n, n) stack alone is 61 MB
+    u = haar_random_unitary(20, 9)
+    her = [1] * 7 + [0] * 13
+    tracemalloc.start()
+    try:
+        _distributions(u, her, LossConfig(), (INDISTINGUISHABLE, DISTINGUISHABLE))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_probabilities_must_match_states():

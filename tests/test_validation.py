@@ -1,6 +1,10 @@
+import os
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from scattershot import sources
 from scattershot import states as st
 from scattershot.distribution import (
     DISTINGUISHABLE,
@@ -106,6 +110,23 @@ def test_min_samples_deterministic():
     assert np.array_equal(a.per_unitary, b.per_unitary)
     assert a.min_samples_mean == b.min_samples_mean
     assert a.n_detected == 3
+
+
+def test_validate_pool_width_is_bounded_by_cpu_count(monkeypatch):
+    widths = []
+
+    def recording_pool(max_workers, **kwargs):
+        widths.append(max_workers)
+        return ThreadPoolExecutor(max_workers=max_workers, **kwargs)
+
+    args = dict(m=10, n=3, loss=LossConfig(0, 1), ensemble=4, trials=100, seed=5,
+                max_samples=400)
+    serial = min_samples_to_validate(**args)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(sources, "ThreadPoolExecutor", recording_pool)
+    pooled = min_samples_to_validate(**args, workers=64)
+    assert np.array_equal(pooled.per_unitary, serial.per_unitary)
+    assert widths == [2]
 
 
 def test_min_samples_sane_range_smoke():

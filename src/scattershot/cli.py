@@ -163,72 +163,108 @@ def distribution_to_csv(dist: dstr.OutputDistribution, command: str, config: dic
     chunks = []
     for start in range(0, len(dist), st.FORMAT_CHUNK):
         rows = slice(start, start + st.FORMAT_CHUNK)
-        texts = st.format_states(dist.states[rows])
         # one string per chunk: no K-long list of small line strings
-        chunks.append("\n".join(f"{s},{p!r}" for s, p in zip(texts, dist.probs[rows].tolist())))
+        chunks.append("\n".join(map(",".join, zip(st.format_states(dist.states[rows]),
+                                                  map(repr, dist.probs[rows].tolist())))))
     return _table(command, config, header, chunks)
 
 
-def _parse_states(texts: list, m: int, n: int, path: str) -> np.ndarray:
-    """All state strings of a distribution file as (K, m) uint8 occupations.
+def _decode_states(texts: list, m: int, n: int, path: str) -> np.ndarray:
+    """(len(texts), m) uint8 occupations of state strings, each m non-negative
+    integers summing to n, else a usage error.
 
-    One pass over every row; a state that is not m non-negative integers
-    summing to n is a usage error, as is an occupation beyond uint8.
+    When every row is m single-digit cells ('0:2:1'), the rows are read from
+    one byte buffer, each ended by '\n'; otherwise np.loadtxt reads them all.
+    """
+    width = 2 * m  # a single-digit row and its '\n'
+    cells = np.frombuffer(("\n".join(texts) + "\n").encode("ascii", "replace"), dtype=np.uint8)
+    occ = None
+    if cells.size == len(texts) * width:
+        # a digit cell minus '0' is at most 9, a ':' or '\n' cell minus itself is 0;
+        # as uint8, a character below its base wraps above the bound
+        base = np.tile(np.array([ord("0"), ord(":")], dtype=np.uint8), m)
+        base[-1] = ord("\n")
+        offset = cells.reshape(-1, width) - base
+        if not np.any(offset > np.tile(np.array([9, 0], dtype=np.uint8), m)):
+            occ = offset[:, 0::2].copy()  # every '\n' is a row end
+    if occ is None:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # loadtxt skips blank rows; the shape check won't
+                occ = np.loadtxt(texts, delimiter=":", dtype=np.int64, ndmin=2, comments=None)
+        except (ValueError, TypeError) as exc:
+            raise UsageError(f"malformed state in distribution {path}: {exc}") from exc
+        if occ.shape != (len(texts), m):
+            raise UsageError(
+                f"distribution {path} has a blank state or one whose length is not m={m}")
+        if occ.min() < 0 or occ.max() > np.iinfo(np.uint8).max:
+            raise UsageError(
+                f"distribution {path} has a state with a negative or oversized occupation")
+        occ = occ.astype(np.uint8)
+    if np.any(occ.sum(axis=1) != n):
+        raise UsageError(f"distribution {path} has a state with a photon number other than n={n}")
+    return occ
+
+
+def _parse_states(texts: list, m: int, n: int, path: str) -> np.ndarray:
+    """All state strings of a JSON distribution file as (K, m) uint8 occupations.
+
+    Decoded FORMAT_CHUNK rows at a time; a state that is not m non-negative
+    integers summing to n is a usage error, as is an occupation beyond uint8.
     """
     if not texts:
         raise UsageError(f"distribution {path} lists no states")
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # loadtxt skips blank rows; the shape check won't
-            occ = np.loadtxt(texts, delimiter=":", dtype=np.int64, ndmin=2, comments=None)
-    except (ValueError, TypeError) as exc:
-        raise UsageError(f"malformed state in distribution {path}: {exc}") from exc
-    if occ.shape != (len(texts), m):
+    # m cells take at least 2m - 1 characters, so fewer in all means a short
+    # row; this also bounds the occupation array by the size of the rows
+    if m < 1 or sum(map(len, texts)) < len(texts) * (2 * m - 1):
         raise UsageError(f"distribution {path} has a blank state or one whose length is not m={m}")
-    if occ.min() < 0 or occ.max() > np.iinfo(np.uint8).max or np.any(occ.sum(axis=1) != n):
-        raise UsageError(
-            f"distribution {path} has a state with a negative or oversized occupation "
-            f"or a photon number other than n={n}"
-        )
-    return occ.astype(np.uint8)
+    # filled in place: no chunk result outlives its chunk's temporaries
+    occ = np.empty((len(texts), m), dtype=np.uint8)
+    for start in range(0, len(texts), st.FORMAT_CHUNK):
+        occ[start:start + st.FORMAT_CHUNK] = _decode_states(
+            texts[start:start + st.FORMAT_CHUNK], m, n, path)
+    return occ
 
 
-def distribution_from_file(path: str) -> dstr.OutputDistribution:
-    text = _read_text(path, "distribution")
-    if text.lstrip().startswith("{"):
-        try:
-            doc = json.loads(text)
-            fields = dict(
-                m=int(doc["m"]),
-                n_detected=int(doc["n"]),
-                family=doc["family"],
-                probs=np.array(doc["probs"], dtype=np.float64),
-                raw_mass=float(doc["raw_mass"]),
-                renormalized=bool(doc["renormalized"]),
-            )
-            texts = list(doc["states"])
-        except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
-            raise UsageError(f"cannot read distribution {path}: {exc!r}") from exc
-        states = _parse_states(texts, fields["m"], fields["n_detected"], path)
-        return dstr.OutputDistribution(states=states, **fields)
+# JSON types each scalar field of a distribution file must have; a bool is no number
+JSON_FIELDS = {"m": (int,), "n": (int,), "family": (str,), "raw_mass": (int, float),
+               "renormalized": (bool,)}
+
+
+def _distribution_from_json(text: str, path: str) -> dstr.OutputDistribution:
+    try:
+        doc = json.loads(text)
+        fields = {key: doc[key] for key in (*JSON_FIELDS, "states", "probs")}
+    except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
+        raise UsageError(f"cannot read distribution {path}: {exc!r}") from exc
+    for key, types in JSON_FIELDS.items():
+        if type(fields[key]) not in types:
+            raise UsageError(f"distribution {path}: {key!r} must be "
+                             f"{' or '.join(t.__name__ for t in types)}, got {fields[key]!r}")
+    texts, probs = fields["states"], fields["probs"]
+    if not isinstance(texts, list) or not set(map(type, texts)) <= {str}:
+        raise UsageError(f"distribution {path}: 'states' must be a list of strings")
+    if not isinstance(probs, list) or not set(map(type, probs)) <= {int, float}:
+        raise UsageError(f"distribution {path}: 'probs' must be a list of numbers")
+    try:
+        probs, raw_mass = np.array(probs, dtype=np.float64), float(fields["raw_mass"])
+    except OverflowError as exc:  # an integer beyond the float range
+        raise UsageError(f"cannot read distribution {path}: {exc}") from exc
+    m, n = fields["m"], fields["n"]
+    return dstr.OutputDistribution(
+        m=m, n_detected=n, family=fields["family"], states=_parse_states(texts, m, n, path),
+        probs=probs, raw_mass=raw_mass, renormalized=fields["renormalized"],
+    )
+
+
+def _distribution_from_csv(text: str, path: str) -> dstr.OutputDistribution:
+    lines = text.splitlines()
     header = {}
-    texts = []
-    probs = []
-    for line in text.splitlines():
-        if line.startswith("#"):
-            for tok in line[1:].split():
-                if "=" in tok:
-                    k, v = tok.split("=", 1)
-                    header[k] = v
-            continue
-        if not line or line.startswith("state,"):
-            continue
-        try:
-            state_s, prob_s = line.rsplit(",", 1)
-            probs.append(float(prob_s))
-        except ValueError as exc:
-            raise UsageError(f"malformed distribution row {line!r} in {path}") from exc
-        texts.append(state_s)
+    for line in [ln for ln in lines if ln[:1] == "#"]:
+        for tok in line[1:].split():
+            key, sep, value = tok.partition("=")
+            if sep:
+                header[key] = value
     required = {"m", "n", "family", "renormalized", "raw_mass"}
     if not required <= header.keys():
         raise UsageError(f"distribution CSV header missing {required - header.keys()}")
@@ -236,15 +272,57 @@ def distribution_from_file(path: str) -> dstr.OutputDistribution:
         m, n, raw_mass = int(header["m"]), int(header["n"]), float(header["raw_mass"])
     except ValueError as exc:
         raise UsageError(f"malformed distribution CSV header in {path}: {exc}") from exc
+    if header["renormalized"] not in ("True", "False"):
+        raise UsageError(f"distribution CSV header in {path}: renormalized must be True or "
+                         f"False, got {header['renormalized']!r}")
+    rows = [ln for ln in lines if ln and not ln.startswith(("#", "state,"))]
+    if not rows:
+        raise UsageError(f"distribution {path} lists no states")
+    # a row takes at least 2m characters (m cells, m - 1 ':' and its ','), so
+    # the occupation array never outgrows the file
+    if m < 1 or 2 * m * len(rows) > len(text):
+        raise UsageError(f"distribution {path} has a blank state or one whose length is not m={m}")
+    # filled in place: no chunk result outlives its chunk's temporaries
+    occ = np.empty((len(rows), m), dtype=np.uint8)
+    probs = np.empty(len(rows), dtype=np.float64)
+    for start in range(0, len(rows), st.FORMAT_CHUNK):
+        part = rows[start:start + st.FORMAT_CHUNK]
+        joined = "\n".join(part)
+        # the ',' and '\n' bytes in order: one ',' per row, then its '\n'
+        marks = np.frombuffer(joined.encode("ascii", "replace"), dtype=np.uint8)
+        marks = marks[(marks == ord(",")) | (marks == ord("\n"))]
+        if marks.size != 2 * len(part) - 1 or np.any(marks[1::2] != ord("\n")):
+            bad = next(row for row in part if row.count(",") != 1)
+            raise UsageError(f"malformed distribution row {bad!r} in {path}: "
+                             "it needs exactly one ','")
+        cells = joined.replace("\n", ",").split(",")  # state, probability, state, ...
+        try:
+            probs[start:start + len(part)] = list(map(float, cells[1::2]))
+        except ValueError:
+            for row, cell in zip(part, cells[1::2]):
+                try:
+                    float(cell)
+                except ValueError as exc:
+                    raise UsageError(f"malformed distribution row {row!r} in {path}") from exc
+        occ[start:start + len(part)] = _decode_states(cells[0::2], m, n, path)
     return dstr.OutputDistribution(
-        m=m,
-        n_detected=n,
-        family=header["family"],
-        states=_parse_states(texts, m, n, path),
-        probs=np.array(probs, dtype=np.float64),
-        raw_mass=raw_mass,
-        renormalized=header["renormalized"] == "True",
+        m=m, n_detected=n, family=header["family"], states=occ, probs=probs,
+        raw_mass=raw_mass, renormalized=header["renormalized"] == "True",
     )
+
+
+def distribution_from_file(path: str) -> dstr.OutputDistribution:
+    """A distribution file written by `distribution`, CSV or JSON.
+
+    CSV rows are read FORMAT_CHUNK at a time. Blank lines and '#' lines may
+    sit anywhere, and every str.splitlines line ending is accepted. Unreadable
+    or malformed files are usage errors; a well-formed file whose values are
+    not a distribution raises InvalidDistributionError.
+    """
+    text = _read_text(path, "distribution")
+    if text.lstrip().startswith("{"):
+        return _distribution_from_json(text, path)
+    return _distribution_from_csv(text, path)
 
 
 # ----------------------------------------------------------- subcommands
@@ -513,7 +591,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_distribution)
 
     p = sub.add_parser("sample", help="draw events from a distribution")
-    add_threads(p)
     add_dist_args(p)
     p.add_argument("--count", type=int, required=True)
     p.set_defaults(func=cmd_sample)

@@ -67,10 +67,12 @@ class OutputDistribution:
         if np.any(self.probs < -1e-15):
             raise InvalidDistributionError("negative probability entry")
         self.probs = np.clip(self.probs, 0.0, None)
-        if self.renormalized and abs(float(self.probs.sum()) - 1.0) > NORMALIZATION_TOL:
-            raise InvalidDistributionError(
-                f"renormalized distribution sums to {self.probs.sum()!r}"
-            )
+        # the sum of non-negative entries is finite only if every entry is
+        total = float(self.probs.sum())
+        if not (math.isfinite(total) and math.isfinite(self.raw_mass)):
+            raise InvalidDistributionError("non-finite probability or raw_mass")
+        if self.renormalized and abs(total - 1.0) > NORMALIZATION_TOL:
+            raise InvalidDistributionError(f"renormalized distribution sums to {total!r}")
 
     def __len__(self) -> int:
         return self.probs.size
@@ -287,6 +289,9 @@ def _distributions(u, state, loss: LossConfig, models, family=st.COLLISION_FREE,
     dists = []
     for row in raw:
         mass = float(row.sum())
+        if renormalize and mass == 0.0:
+            raise InvalidDistributionError(
+                "cannot renormalize: no state of the table is reachable (zero mass)")
         dists.append(OutputDistribution(
             m=m,
             n_detected=n - loss.n_lost_out,

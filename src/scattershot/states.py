@@ -23,7 +23,7 @@ FULL_FOCK = "full-fock"
 
 DEFAULT_STATE_CAP = 5_000_000
 
-# rows formatted per numpy-to-list conversion in format_states
+# rows per chunk of the distribution file codec: format_states and the cli readers
 FORMAT_CHUNK = 4096
 _DIGITS = np.array([str(i) for i in range(256)], dtype=object)
 
@@ -102,10 +102,22 @@ def state_ranks(modes, m: int, family: str) -> np.ndarray:
 
 
 def format_states(occ) -> list[str]:
-    """'0:2:1'-style strings of the rows of a (K, m) occupation array."""
+    """'0:2:1'-style strings of the rows of a (K, m) occupation array.
+
+    A chunk whose occupations are all single digits is laid out as one byte
+    buffer of digit and ':' cells with '\\n' at each row end, and decoded and
+    split once; occupations of 10 or more go through the per-cell digit table.
+    """
     out = []
     for start in range(0, len(occ), FORMAT_CHUNK):
-        out.extend(":".join(row) for row in _DIGITS[occ[start:start + FORMAT_CHUNK]].tolist())
+        chunk = occ[start:start + FORMAT_CHUNK]
+        if chunk.max() < 10:
+            cells = np.full((chunk.shape[0], 2 * chunk.shape[1]), ord(":"), dtype=np.uint8)
+            cells[:, 0::2] = chunk + ord("0")
+            cells[:, -1] = ord("\n")
+            out.extend(cells.tobytes().decode("ascii").split("\n")[:-1])
+        else:
+            out.extend(":".join(row) for row in _DIGITS[chunk].tolist())
     return out
 
 

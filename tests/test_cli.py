@@ -2,6 +2,8 @@ import argparse
 import dataclasses
 import json
 import tempfile
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -263,6 +265,171 @@ def test_tvd_malformed_csv_header_is_usage_error(tmp_path, capsys):
     assert "usage-error" in capsys.readouterr().err
 
 
+def _same_distribution(got, want):
+    assert (got.m, got.n_detected, got.family) == (want.m, want.n_detected, want.family)
+    assert (got.raw_mass, got.renormalized) == (want.raw_mass, want.renormalized)
+    assert np.array_equal(got.states, want.states) and got.states.dtype == np.uint8
+    assert np.array_equal(got.probs, want.probs)
+
+
+def test_tvd_reads_crlf_line_endings(tmp_path, capsys):
+    path = _distribution_csv(tmp_path)
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    _same_distribution(distribution_from_file(str(crlf)), distribution_from_file(str(path)))
+    assert main(["tvd", "--p", str(path), "--q", str(crlf)]) == 0
+    assert float(capsys.readouterr().out) == 0.0
+
+
+def test_tvd_reads_blank_and_comment_lines_between_rows(tmp_path, capsys):
+    path = _distribution_csv(tmp_path)
+    lines = path.read_text().splitlines()
+    first = lines.index("state,probability") + 1
+    spaced = tmp_path / "spaced.csv"
+    spaced.write_text("\n".join(lines[:first + 1] + ["", "# a comment", ""] + lines[first + 1:-1]
+                                + ["#", lines[-1], ""]) + "\n")
+    _same_distribution(distribution_from_file(str(spaced)), distribution_from_file(str(path)))
+    assert main(["tvd", "--p", str(path), "--q", str(spaced)]) == 0
+    assert float(capsys.readouterr().out) == 0.0
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_two_digit_occupations_round_trip(tmp_path, fmt):
+    # m=2, n=10 full Fock mixes one- and two-digit occupations in one file
+    path = tmp_path / f"d.{fmt}"
+    assert main(["distribution", "--m", "2", "--seed", "1", "--input", "6:4", "--family",
+                 "full-fock", "--renormalize", "--format", fmt, "--out", str(path)]) == 0
+    u = haar_random_unitary(2, np.random.SeedSequence(1).spawn(2)[0])
+    want = full_distribution(u, [6, 4], family=st.FULL_FOCK, renormalize=True)
+    got = distribution_from_file(str(path))
+    _same_distribution(got, want)
+    assert got.states.max() == 10
+
+
+@pytest.mark.parametrize("bad_row", ["1:1:0:0", "1:1:0:0,not-a-number", "1:1:0:0,0.1,0.2"])
+def test_tvd_malformed_row_in_the_middle_is_usage_error(tmp_path, capsys, bad_row):
+    path = _distribution_csv(tmp_path)
+    lines = path.read_text().splitlines()
+    first = lines.index("state,probability") + 1
+    middle = (first + len(lines)) // 2
+    lines[middle] = bad_row
+    broken = tmp_path / "broken.csv"
+    broken.write_text("\n".join(lines) + "\n")
+    assert main(["tvd", "--p", str(path), "--q", str(broken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage-error: ") and "Traceback" not in err
+
+
+def test_tvd_names_a_row_with_two_commas(tmp_path, capsys):
+    path = _distribution_csv(tmp_path)
+    lines = path.read_text().splitlines()
+    lines[-2] = "1:0:1:0,0.1,0.2"
+    broken = tmp_path / "broken.csv"
+    broken.write_text("\n".join(lines) + "\n")
+    assert main(["tvd", "--p", str(path), "--q", str(broken)]) == 2
+    assert "'1:0:1:0,0.1,0.2'" in capsys.readouterr().err
+
+
+def _json_distribution(tmp_path):
+    path = tmp_path / "d.json"
+    main(["distribution", "--m", "4", "--seed", "2", "--input", "1:1:0:0",
+          "--renormalize", "--format", "json", "--out", str(path)])
+    return path
+
+
+# JSON fields of the wrong type, each read by a coercion before they were checked
+BAD_JSON_FIELDS = {
+    "renormalized-string": ("renormalized", "False"),
+    "m-float": ("m", 4.7),
+    "n-float": ("n", 2.0),
+    "m-bool": ("m", True),
+    "raw-mass-bool": ("raw_mass", True),
+    "raw-mass-string": ("raw_mass", "1.0"),
+    "raw-mass-huge-int": ("raw_mass", 10**400),
+    "family-list": ("family", ["collision-free"]),
+    "probs-strings": ("probs", ["0.1"] * 6),
+    "probs-bools": ("probs", [True] + [False] * 5),
+    "probs-not-a-list": ("probs", 1.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_JSON_FIELDS))
+def test_tvd_json_field_of_wrong_type_is_usage_error(tmp_path, capsys, case):
+    key, value = BAD_JSON_FIELDS[case]
+    path = _json_distribution(tmp_path)
+    doc = json.loads(path.read_text())
+    doc[key] = value
+    path.write_text(json.dumps(doc))
+    assert main(["tvd", "--p", str(path), "--q", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage-error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["yes", "true", "1", ""])
+def test_tvd_csv_renormalized_other_than_true_or_false_is_usage_error(tmp_path, capsys, value):
+    path = _distribution_csv(tmp_path)
+    path.write_text(path.read_text().replace(" renormalized=True ", f" renormalized={value} "))
+    assert main(["tvd", "--p", str(path), "--q", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("usage-error: ")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_tvd_non_finite_probability_exits_1(tmp_path, capsys, fmt, value):
+    if fmt == "csv":
+        path = _distribution_csv(tmp_path)
+        lines = path.read_text().splitlines()
+        lines[-1] = f"{lines[-1].rsplit(',', 1)[0]},{value}"
+        path.write_text("\n".join(lines) + "\n")
+    else:
+        path = _json_distribution(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["probs"][-1] = float(value)
+        path.write_text(json.dumps(doc))
+    assert main(["tvd", "--p", str(path), "--q", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("invalid-distribution: ")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_tvd_non_finite_raw_mass_exits_1(tmp_path, capsys, fmt, value):
+    if fmt == "csv":
+        path = _distribution_csv(tmp_path)
+        text = path.read_text()
+        raw = text.split(" raw_mass=", 1)[1].split("\n", 1)[0]
+        path.write_text(text.replace(f" raw_mass={raw}", f" raw_mass={value}"))
+    else:
+        path = _json_distribution(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["raw_mass"] = float(value)
+        path.write_text(json.dumps(doc))
+    assert main(["tvd", "--p", str(path), "--q", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("invalid-distribution: ")
+
+
+# tracemalloc peak of distribution_from_file on the 77520-row m=20, n=7 CSV
+# below, as the row-by-row reader measured it (28.89 MB; the chunked reader
+# peaks near 20 MB)
+READ_PEAK_BYTES = 28_900_000
+
+
+def test_reading_a_large_csv_is_memory_bounded(tmp_path):
+    occ, _ = st.enumerate_states(20, 7, st.COLLISION_FREE)
+    probs = np.random.default_rng(0).random(len(occ))
+    probs /= probs.sum()
+    dist = OutputDistribution(20, 7, st.COLLISION_FREE, occ, probs, 1.0, True)
+    path = tmp_path / "d.csv"
+    path.write_text(distribution_to_csv(dist, "distribution", {}))
+    tracemalloc.start()
+    try:
+        back = distribution_from_file(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _same_distribution(back, dist)
+    assert peak <= READ_PEAK_BYTES
+
+
 @settings(max_examples=60, deadline=None)
 @given(m=hst.integers(1, 6), n=hst.integers(1, 3),
        family=hst.sampled_from([st.COLLISION_FREE, st.FULL_FOCK]), data=hst.data())
@@ -295,6 +462,40 @@ def test_parse_states_accepts_only_valid_rows_property(texts, m, n):
         return
     assert occ.shape == (len(texts), m) and occ.dtype == np.uint8
     assert np.all(occ.sum(axis=1) == n)
+
+
+def _reference_parse_states(texts, m, n):
+    """The one-call np.loadtxt state reader the byte-buffer decoder replaced;
+    None where it refused the rows."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            occ = np.loadtxt(texts, delimiter=":", dtype=np.int64, ndmin=2, comments=None)
+    except (ValueError, TypeError):
+        return None
+    if (occ.shape != (len(texts), m) or occ.min() < 0 or occ.max() > 255
+            or np.any(occ.sum(axis=1) != n)):
+        return None
+    return occ.astype(np.uint8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=hst.integers(1, 4), data=hst.data())
+def test_parse_states_matches_loadtxt_reference_property(m, data):
+    occupations = hst.lists(hst.integers(0, 12), min_size=m, max_size=m)
+    row = hst.one_of(occupations.map(lambda occ: ":".join(map(str, occ))),
+                     hst.text(alphabet="0123456789: -+.x\n\u0661", max_size=10))
+    texts = data.draw(hst.lists(row, min_size=1, max_size=6))
+    first = texts[0].split(":")
+    n = sum(map(int, first)) if all(t.isascii() and t.isdigit() for t in first) else 3
+    want = _reference_parse_states(texts, m, n)
+    try:
+        got = _parse_states(texts, m, n, "generated")
+    except UsageError:
+        got = None
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got.dtype == np.uint8 and np.array_equal(got, want)
 
 
 def test_distribution_bunched_input_with_output_loss(tmp_path):
@@ -434,6 +635,16 @@ def test_distribution_accepts_unitary_file(tmp_path):
     assert main(["distribution", "--unitary", str(path), "--input", "1:1:0:0",
                  "--out", str(out)]) == 0
     assert distribution_from_file(str(out)).m == 4
+
+
+def test_distribution_renormalizing_zero_mass_exits_1(tmp_path, capsys):
+    # two photons in one mode of the identity never reach a collision-free state
+    path = tmp_path / "eye.json"
+    path.write_text(matrix_to_json(np.eye(2, dtype=complex)))
+    assert main(["distribution", "--unitary", str(path), "--input", "2:0",
+                 "--renormalize"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("invalid-distribution: ")
 
 
 def test_distribution_rejects_non_unitary_file(tmp_path, capsys):
@@ -686,31 +897,39 @@ def test_bad_numeric_flag_exits_with_category(case, ones_matrix, spdc_config, qd
 _DIST_OPTIONS = ["--family", "--input", "--loss-in", "--loss-out", "--m", "--model", "--out",
                  "--renormalize", "--seed", "--unitary"]
 CLI_SURFACE = {
-    "permanent": ["--matrix", "--method", "--partitions"],
-    "distribution": _DIST_OPTIONS + ["--format"],
+    "permanent": ["--matrix", "--method", "--partitions", "--threads"],
+    "distribution": _DIST_OPTIONS + ["--format", "--threads"],
     "sample": _DIST_OPTIONS + ["--count"],
-    "tvd": ["--p", "--q"],
+    "tvd": ["--p", "--q", "--threads"],
     "validate": ["--confidence", "--detail", "--ensemble", "--loss-in", "--loss-out", "--m",
-                 "--max-samples", "--n", "--out", "--seed", "--trials"],
-    "sources": ["--config", "--m", "--n", "--n-lost", "--out", "--seed", "--trials"],
+                 "--max-samples", "--n", "--out", "--seed", "--threads", "--trials"],
+    "sources": ["--config", "--m", "--n", "--n-lost", "--out", "--seed", "--threads",
+                "--trials"],
     "supremacy": ["--a-prime", "--config", "--demux", "--include-lossy", "--m-max", "--m-min",
-                  "--out", "--step"],
+                  "--out", "--step", "--threads"],
 }
 
 
 def test_cli_surface_is_pinned():
     # every flag change is a deliberate edit of CLI_SURFACE; each subcommand
-    # also takes --threads and -h/--help
+    # also takes -h/--help
     parser = build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     got = {name: sorted(o for a in sp._actions for o in a.option_strings)
            for name, sp in sub.choices.items()}
-    assert got == {name: sorted(opts + ["--threads", "--help", "-h"])
-                   for name, opts in CLI_SURFACE.items()}
+    assert got == {name: sorted(opts + ["--help", "-h"]) for name, opts in CLI_SURFACE.items()}
     with pytest.raises(SystemExit) as exc:
         parser.parse_args(["supremacy", "--platform", "spdc", "--config", "c.json",
                            "--m-min", "10", "--m-max", "20"])
     assert exc.value.code == 2
+
+
+def test_sample_threads_is_refused(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", "--m", "4", "--seed", "9", "--input", "1:1:0:0", "--renormalize",
+              "--count", "25", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
 def test_sources_spdc_rows_ignore_n_lost(spdc_config, capsys):

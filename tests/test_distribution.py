@@ -266,6 +266,24 @@ def test_probabilities_must_match_states():
         OutputDistribution(4, 2, st.COLLISION_FREE, occ, np.full(5, 0.2), 1.0, True)
 
 
+@pytest.mark.parametrize("bad", [{"probs": [0.5, float("nan"), 0.5]},
+                                 {"probs": [0.5, float("inf"), 0.5]},
+                                 {"raw_mass": float("inf")}, {"raw_mass": float("nan")}])
+@pytest.mark.parametrize("renormalized", [True, False])
+def test_non_finite_values_are_refused(bad, renormalized):
+    occ, _ = st.enumerate_states(3, 1, st.COLLISION_FREE)
+    fields = {"probs": [0.25, 0.5, 0.25], "raw_mass": 1.0, **bad}
+    with pytest.raises(InvalidDistributionError):
+        OutputDistribution(3, 1, st.COLLISION_FREE, occ, fields["probs"], fields["raw_mass"],
+                           renormalized)
+
+
+def test_renormalizing_zero_mass_is_refused_by_name():
+    # two photons in one mode of the identity never reach a collision-free state
+    with pytest.raises(InvalidDistributionError, match="zero mass"):
+        full_distribution(np.eye(2, dtype=complex), [2, 0], renormalize=True)
+
+
 def test_lossy_normalization_and_errors():
     u = haar_random_unitary(7, 21)
     for loss in (LossConfig(1, 0), LossConfig(0, 1), LossConfig(1, 1)):

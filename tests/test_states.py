@@ -9,6 +9,7 @@ from hypothesis import strategies as hst
 from scattershot.errors import InstanceTooLargeError, InvalidConfigurationError
 from scattershot.states import (
     COLLISION_FREE,
+    FORMAT_CHUNK,
     FULL_FOCK,
     count_states,
     enumerate_states,
@@ -113,6 +114,14 @@ def test_cap_enforced():
 def test_collision_free_needs_enough_modes():
     with pytest.raises(InvalidConfigurationError):
         enumerate_states(2, 3, COLLISION_FREE)
+
+
+def test_format_states_matches_row_by_row_reference():
+    # one chunk holds an occupation of 10 or more, the others single digits only
+    occ = np.random.default_rng(3).integers(0, 10, size=(2 * FORMAT_CHUNK + 5, 3), dtype=np.uint8)
+    occ[FORMAT_CHUNK + 7, 1] = 12
+    assert format_states(occ) == [":".join(str(int(k)) for k in row) for row in occ]
+    assert format_states(occ[:0]) == []
 
 
 def test_state_string_round_trip():

@@ -460,6 +460,7 @@ def cmd_validate(args) -> int:
 def cmd_sources(args) -> int:
     doc = load_platform_config(args.config)
     params = params_from_config(doc, m=args.m)
+    config = {"platform": doc["platform"], "m": args.m, "n": args.n}
     if doc["platform"] == "qd":
         if not 1 <= args.n <= args.m:
             raise InvalidConfigurationError(f"need 1 <= n <= m, got n={args.n}, m={args.m}")
@@ -489,8 +490,8 @@ def cmd_sources(args) -> int:
         header = "class,analytic,mc_estimate,mc_stderr,sigmas"
         lines = [f"{name},{_fmt(analytic)},{_fmt(est.probability)},{_fmt(est.stderr)},"
                  f"{_fmt(est.sigmas_from(analytic))}" for name, analytic, est in rows]
-    config = {"platform": doc["platform"], "m": args.m, "n": args.n,
-              "n_lost": args.n_lost, "trials": args.trials, "seed": args.seed}
+        # the quantum-dot closed form reads none of these
+        config.update(n_lost=args.n_lost, trials=args.trials, seed=args.seed)
     _write_text(args.out, _table("sources", config, header, lines))
     return 0
 

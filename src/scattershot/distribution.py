@@ -3,15 +3,22 @@
 Indistinguishable photons follow the squared-permanent rule; the
 distinguishable-particle alternative uses the permanent of the elementwise
 |u|^2 matrix. One private builder, `_distributions`, makes every table, for
-one or both particle models from one basis. It averages uniformly over the
-injected subsets of the heralded photons. Without output loss it enumerates
-the requested family and renormalizes on request. With output loss it bins
-every propagated n-photon output (bunched ones included) onto its
-photon-subset sub-patterns, each located by its canonical rank
-(`states.state_ranks`), and renormalizes once over the collision-free
-detected family. `full_distribution` (lossless) and `lossy_distribution`
-are single calls into it; certification calls it for both models at once,
-on one basis (`_basis`) shared by the whole ensemble.
+one or both particle models from one basis.
+
+Loss here is uniform and mode-independent: every photon is equally likely to
+be lost, wherever it is. Such loss commutes with a passive linear
+interferometer (Aaronson and Brod, "BosonSampling with lost photons",
+arXiv:1510.05245), so with l photons lost in all the detected distribution
+does not depend on where they were lost: `LossConfig(a, b)` gives the table of
+`LossConfig(a + b, 0)`. The builder therefore averages uniformly over the
+injected subsets of the heralded photons that reach the detectors, and
+evaluates each subset's permanents over the detected family only. A bunched
+heralded state gives repeated subsets, which carry the thinning multiplicity.
+A table with output loss is renormalized over the collision-free detected
+family. Mode-dependent loss would not commute and is not modelled.
+`full_distribution` (lossless) and `lossy_distribution` are single calls into
+the builder; certification calls it for both models at once, on one basis
+shared by the whole ensemble.
 
 The submatrix gather lives in the Glynn driver (`permanent._glynn_stack`):
 a build hands it the column block u[:, in_modes] and the output-mode rows,
@@ -167,47 +174,6 @@ class LossConfig:
         return self.n_lost_in + self.n_lost_out
 
 
-def _output_loss_bins(modes_n, m, n_lost_out):
-    """Where each n-photon output's probability goes when n_lost_out photons are lost.
-
-    Every photon is equally likely to be among the n_lost_out lost, so each
-    n-photon output splits its probability uniformly over its C(n, n_lost_out)
-    photon-subset sub-patterns (counted with multiplicity when modes collide).
-    Only collision-free detected patterns are kept. Returns (det_occ, targets,
-    per_output, share): the canonical detected family, the detected rank of
-    each kept sub-pattern in output order then subset order, the number each
-    output keeps, and the share 1 / C(n, n_lost_out) each sub-pattern gets.
-    """
-    n = modes_n.shape[1]
-    n_det = n - n_lost_out
-    det_occ, _ = st.enumerate_states(m, n_det, st.COLLISION_FREE)
-    kept = list(combinations(range(n), n_det))
-    ranks = np.empty((modes_n.shape[0], len(kept)), dtype=np.int64)
-    for j, cols in enumerate(kept):
-        ranks[:, j] = st.state_ranks(modes_n[:, cols], m, st.COLLISION_FREE)
-    # row-major selection keeps output order, then subset order; -1 marks a
-    # sub-pattern in which a collision survived
-    hit = ranks >= 0
-    return det_occ, ranks[hit], hit.sum(axis=1), 1.0 / math.comb(n, n_lost_out)
-
-
-def _marginal_over_output_loss(probs_n, bins):
-    """Bin n-photon probabilities onto their detected sub-patterns.
-
-    probs_n is one row of probabilities over the propagated outputs of `bins`
-    (from _output_loss_bins) or a stack of such rows. Returns the detected
-    family and the raw values aligned with it, one row per input row; the
-    caller renormalizes.
-    """
-    det_occ, targets, per_output, share = bins
-    scaled = np.asarray(probs_n) * share
-    out = np.stack([
-        np.bincount(targets, weights=np.repeat(row, per_output), minlength=det_occ.shape[0])
-        for row in scaled.reshape(-1, per_output.shape[0])
-    ])
-    return det_occ, out.reshape(scaled.shape[:-1] + (det_occ.shape[0],))
-
-
 def lossy_distribution(
     u: np.ndarray,
     heralded_state,
@@ -217,84 +183,60 @@ def lossy_distribution(
     """Detected-pattern distribution of a heralded input under known losses.
 
     n_her photons are heralded, loss.n_lost_in are lost before the
-    interferometer (uniform over the C(n_her, n_lost_in) injected subsets) and
-    loss.n_lost_out of the propagated photons are lost before detection
-    (marginalized over supersets). The full Fock family of propagated outputs
-    (bunched ones included) feeds that marginalization, since a collided output
-    that loses the right photon still yields a collision-free click pattern.
-    The heralded state may be bunched only when no photon is lost at the
-    input. The result is renormalized over the collision-free detected family.
+    interferometer and loss.n_lost_out of the propagated photons before
+    detection, each uniformly at random. Since uniform loss commutes with the
+    interferometer, this is the average over the injected subsets of
+    n_her - loss.total heralded photons (see the module docstring); the
+    heralded state may be bunched. The result is renormalized over the
+    collision-free detected family.
     """
     return _distributions(u, heralded_state, loss, (model,))[0]
-
-
-def _basis(m: int, n: int, n_lost_out: int, family=st.COLLISION_FREE):
-    """(occ_n, modes_n, bins): the states a build needs besides the unitary.
-
-    occ_n and modes_n list the propagated n-photon outputs: `family` without
-    output loss, the full Fock family with it. bins is None without output
-    loss, else _output_loss_bins over those outputs. None of it depends on
-    the unitary, so an ensemble finds it once and hands it to every build.
-    """
-    if n_lost_out == 0:
-        return (*st.enumerate_states(m, n, family), None)
-    occ_n, modes_n = st.enumerate_states(m, n, st.FULL_FOCK)
-    return occ_n, modes_n, _output_loss_bins(modes_n, m, n_lost_out)
 
 
 def _distributions(u, state, loss: LossConfig, models, family=st.COLLISION_FREE,
                    renormalize=True, basis=None) -> list:
     """The distribution of each model in turn, all from one basis.
 
-    state holds the heralded photons; loss.n_lost_in of them are lost before
-    the interferometer (uniformly over the injected subsets) and
-    loss.n_lost_out of the propagated ones before detection. Without output
-    loss the result spans `family` and is renormalized if `renormalize`;
-    with output loss the full Fock family of propagated outputs feeds the
-    marginalization and the result is always renormalized over the
-    collision-free detected family. The propagated basis and the output-loss
-    sub-pattern ranks come from `basis` (see _basis), or are found here once
-    when it is None. Per injected subset each model evaluates its own
-    permanents, one model after the other. Each result equals a one-model
-    call bit for bit.
+    state holds the heralded photons; loss.total of them are lost, and as
+    output loss is input loss (see the module docstring) the table averages
+    uniformly over the injected subsets of the rest. Without output loss the
+    result spans `family` and is renormalized if `renormalize`; with it, the
+    result is always renormalized over the collision-free detected family.
+    The detected basis (occ, modes) comes from `basis`, as
+    `states.enumerate_states` returns it, or is enumerated here when it is
+    None. Per injected subset each model evaluates its own permanents, one
+    model after the other. Each result equals a one-model call bit for bit.
     """
     her = np.asarray(state)
     m = u.shape[0]
     n_her = photon_number(her)
     if n_her < 1:
         raise InvalidConfigurationError("need at least one photon")
-    if loss.n_lost_in > 0 and np.any(her > 1):
-        raise InvalidConfigurationError("heralded state must be collision-free under input loss")
     if loss.total >= n_her:
         raise InvalidConfigurationError(
             f"losses ({loss.total}) must be fewer than heralded photons ({n_her})"
         )
-    n = n_her - loss.n_lost_in
-    if basis is None:
-        basis = _basis(m, n, loss.n_lost_out, family)
-    occ_n, modes_n, bins = basis
-    subsets = list(combinations(mode_indices(her).tolist(), n))
-    acc = np.zeros((len(models), modes_n.shape[0]), dtype=np.float64)
+    n_det = n_her - loss.total
+    if loss.n_lost_out:
+        family, renormalize = st.COLLISION_FREE, True
+    occ, modes = st.enumerate_states(m, n_det, family) if basis is None else basis
+    subsets = list(combinations(mode_indices(her).tolist(), n_det))
+    acc = np.zeros((len(models), modes.shape[0]), dtype=np.float64)
     for sub in subsets:
         in_modes = np.array(sub, dtype=np.int64)
         for row, model in zip(acc, models):
-            row += _batch_probabilities(u, in_modes, modes_n, occ_n, model)
+            row += _batch_probabilities(u, in_modes, modes, occ, model)
     acc /= len(subsets)
 
-    if bins is not None:
-        occ, raw = _marginal_over_output_loss(acc, bins)
-        family, renormalize = st.COLLISION_FREE, True
-    else:
-        occ, raw = occ_n, acc
     dists = []
-    for row in raw:
+    for row in acc:
         mass = float(row.sum())
         if renormalize and mass == 0.0:
             raise InvalidDistributionError(
                 "cannot renormalize: no state of the table is reachable (zero mass)")
         dists.append(OutputDistribution(
             m=m,
-            n_detected=n - loss.n_lost_out,
+            n_detected=n_det,
             family=family,
             states=occ,
             probs=row / mass if renormalize else row,

@@ -23,12 +23,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import states as st
 from .distribution import (
     DISTINGUISHABLE,
     INDISTINGUISHABLE,
     LossConfig,
     OutputDistribution,
-    _basis,
     _cdf,
     _distributions,
     _require_comparable,
@@ -92,7 +92,8 @@ class ValidationResult:
 def _min_samples_single(u, n, loss, trials, confidence, stream_seed, max_samples, basis):
     """Smallest N at which >= confidence of the trial streams have V_N > 1.
 
-    Both hypotheses are built on the ensemble's `basis` (distribution._basis).
+    Both hypotheses are built on the ensemble's `basis`, its collision-free
+    detected family.
 
     The (trials, max_samples) uniforms come from one draw, as a full read
     would use them, and are read by doubling prefixes: columns [done, end)
@@ -164,7 +165,7 @@ def min_samples_to_validate(
         raise InvalidConfigurationError("output losses leave no detected photons")
     if n + loss.n_lost_in > m:
         raise InvalidConfigurationError("heralded photons exceed mode count")
-    basis = _basis(m, n, loss.n_lost_out)
+    basis = st.enumerate_states(m, n_det, st.COLLISION_FREE)
 
     def single(child):
         u_ss, stream_ss = child.spawn(2)

@@ -509,10 +509,18 @@ def test_distribution_bunched_input_with_output_loss(tmp_path):
     assert np.array_equal(got.probs, want.probs)
 
 
-def test_distribution_bunched_input_with_input_loss_exits_1(capsys):
-    assert main(["distribution", "--m", "6", "--seed", "4", "--input", "2:1:1:0:0:0",
-                 "--loss-in", "1", "--loss-out", "1"]) == 1
-    assert "invalid-configuration" in capsys.readouterr().err
+def test_distribution_bunched_input_with_input_loss_equals_output_loss(tmp_path):
+    # uniform loss commutes with the interferometer, so one photon lost at the
+    # input and one at the output give the table of two lost at the output
+    paths = {}
+    for name, loss in (("mixed", ["--loss-in", "1", "--loss-out", "1"]),
+                       ("out", ["--loss-out", "2"])):
+        paths[name] = tmp_path / f"{name}.json"
+        assert main(["distribution", "--m", "6", "--seed", "4", "--input", "2:1:1:0:0:0",
+                     *loss, "--format", "json", "--out", str(paths[name])]) == 0
+    got, want = (distribution_from_file(str(paths[k])) for k in ("mixed", "out"))
+    assert np.array_equal(got.states, want.states)
+    np.testing.assert_allclose(got.probs, want.probs, rtol=1e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("command", ["distribution", "sample"])
@@ -1036,7 +1044,10 @@ def test_config_schema_is_pinned():
 
 def test_sources_qd_rows_equal_p_qd(qd_config, capsys):
     assert main(["sources", "--config", qd_config, "--m", "16", "--n", "3"]) == 0
-    rows = [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("#")]
+    lines = capsys.readouterr().out.splitlines()
+    config = json.loads(next(ln for ln in lines if ln.startswith("# config: "))[10:])
+    assert config == {"platform": "qd", "m": 16, "n": 3}
+    rows = [ln for ln in lines if not ln.startswith("#")]
     params = sources.QdParams(eta=0.35, eta_dm=0.7, p_in=0.7,
                               eta_d=linear_eta_schedule(0.6, 0.25, 10, 90)(16))
     assert rows == ["class,analytic"] + [f"{d},{sources.p_qd(3, 3, params, d)!r}"

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from scattershot import states as st
 from scattershot.distribution import (
@@ -13,8 +15,6 @@ from scattershot.distribution import (
     OutputDistribution,
     _batch_probabilities,
     _distributions,
-    _marginal_over_output_loss,
-    _output_loss_bins,
     bs_probability,
     distinguishable_probability,
     full_distribution,
@@ -27,7 +27,7 @@ from scattershot.errors import (
     InvalidConfigurationError,
     InvalidDistributionError,
 )
-from scattershot.linalg import haar_random_unitary, mode_indices
+from scattershot.linalg import haar_random_unitary, mode_indices, photon_number
 from scattershot.permanent import permanents_batch
 
 BEAM_SPLITTER = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
@@ -186,20 +186,66 @@ def _marginal_row_by_row(probs_n, modes_n, m, n_lost_out):
     return det_occ, out
 
 
-@pytest.mark.parametrize("n_lost_out", [1, 2])
+def _lossy_oracle(u, heralded, loss, model):
+    """Raw detected table of a heralded state under loss, built without the fast path.
+
+    Input loss averages over the injected photon subsets. Each subset's
+    full-Fock outputs get one per-state Glynn value each, and the row-by-row
+    reference bins them onto their collision-free detected sub-patterns.
+    """
+    m = len(heralded)
+    rule = bs_probability if model == INDISTINGUISHABLE else distinguishable_probability
+    n = photon_number(heralded) - loss.n_lost_in
+    _, modes = st.enumerate_states(m, n, st.FULL_FOCK)
+    subsets = list(itertools.combinations(mode_indices(heralded).tolist(), n))
+    total = 0.0
+    for sub in subsets:
+        injected = np.bincount(sub, minlength=m)
+        probs = [rule(u, injected, np.bincount(row, minlength=m)) for row in modes]
+        det_occ, raw = _marginal_row_by_row(probs, modes, m, loss.n_lost_out)
+        total = total + raw
+    return det_occ, total / len(subsets)
+
+
+def _assert_matches_oracle(d, want_occ, want):
+    assert np.array_equal(d.states, want_occ)
+    np.testing.assert_allclose(d.probs, want / want.sum(), rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(d.raw_mass, want.sum(), rtol=1e-13, atol=0.0)
+
+
 @pytest.mark.parametrize("model", [INDISTINGUISHABLE, DISTINGUISHABLE])
-@pytest.mark.parametrize("inp", [[1, 1, 1, 1, 0, 0, 0, 0, 0], [2, 1, 0, 1, 0, 0, 0, 0, 0]])
-def test_output_loss_binning_matches_row_by_row_reference(n_lost_out, model, inp):
-    m = len(inp)
-    u = haar_random_unitary(m, 17)
-    occ, modes = st.enumerate_states(m, 4, st.FULL_FOCK)
-    probs = _batch_probabilities(u, mode_indices(inp), modes, occ, model)
-    want_occ, want = _marginal_row_by_row(probs, modes, m, n_lost_out)
-    got_occ, got = _marginal_over_output_loss(probs, _output_loss_bins(modes, m, n_lost_out))
-    assert np.array_equal(got_occ, want_occ)
-    assert np.array_equal(got, want)
-    d = lossy_distribution(u, inp, LossConfig(0, n_lost_out), model=model)
-    assert np.array_equal(d.probs, want / want.sum())
+@pytest.mark.parametrize("heralded,loss", [
+    ([1, 1, 1, 1, 0, 0, 0, 0, 0], LossConfig(0, 1)),
+    ([1, 1, 1, 1, 0, 0, 0, 0, 0], LossConfig(0, 2)),
+    ([2, 1, 0, 1, 0, 0, 0, 0, 0], LossConfig(0, 1)),
+    ([2, 1, 0, 1, 0, 0, 0, 0, 0], LossConfig(1, 1)),
+    ([2, 1, 0, 1, 0, 0, 0, 0, 0], LossConfig(2, 0)),
+    ([1, 1, 1, 1, 1, 0, 0, 0, 0, 0], LossConfig(2, 1)),
+])
+def test_lossy_table_matches_row_by_row_output_loss_oracle(heralded, loss, model):
+    u = haar_random_unitary(len(heralded), 17)
+    d = lossy_distribution(u, heralded, loss, model=model)
+    _assert_matches_oracle(d, *_lossy_oracle(u, heralded, loss, model))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=hst.data())
+def test_output_loss_is_input_loss_property(data):
+    # uniform loss commutes with the interferometer: LossConfig(a, b) and
+    # LossConfig(a + b, 0) both equal the output-loss oracle
+    m = data.draw(hst.integers(2, 6), label="m")
+    heralded = data.draw(hst.lists(hst.integers(0, 2), min_size=m, max_size=m)
+                         .filter(lambda occ: 2 <= sum(occ) <= 4), label="heralded")
+    n_her = sum(heralded)
+    n_det = data.draw(hst.integers(1, min(n_her - 1, m)), label="n_det")
+    a = data.draw(hst.integers(0, n_her - n_det), label="loss_in")
+    loss = LossConfig(a, n_her - n_det - a)
+    model = data.draw(hst.sampled_from([INDISTINGUISHABLE, DISTINGUISHABLE]), label="model")
+    u = haar_random_unitary(m, data.draw(hst.integers(0, 2**32 - 1), label="seed"))
+    want_occ, want = _lossy_oracle(u, heralded, loss, model)
+    for config in (loss, LossConfig(loss.total, 0)):
+        _assert_matches_oracle(lossy_distribution(u, heralded, config, model=model),
+                               want_occ, want)
 
 
 @pytest.mark.parametrize("loss", [LossConfig(0, 0), LossConfig(1, 0), LossConfig(0, 1),
@@ -291,8 +337,11 @@ def test_lossy_normalization_and_errors():
         assert d.probs.sum() == pytest.approx(1.0, abs=1e-9)
     with pytest.raises(InvalidConfigurationError):
         lossy_distribution(u, [1, 1, 0, 0, 0, 0, 0], LossConfig(1, 1))
-    with pytest.raises(InvalidConfigurationError):
-        lossy_distribution(u, [2, 1, 0, 0, 0, 0, 0], LossConfig(1, 0))
+    # a bunched heralded state takes input loss: it equals output loss of the same total
+    got = lossy_distribution(u, [2, 1, 0, 0, 0, 0, 0], LossConfig(1, 0))
+    want = lossy_distribution(u, [2, 1, 0, 0, 0, 0, 0], LossConfig(0, 1))
+    assert np.array_equal(got.states, want.states)
+    np.testing.assert_allclose(got.probs, want.probs, rtol=1e-15, atol=0.0)
 
 
 def test_tvd_basics():

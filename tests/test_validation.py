@@ -112,6 +112,15 @@ def test_min_samples_deterministic():
     assert a.n_detected == 3
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_output_loss_minima_are_pinned(workers):
+    # figures of the earlier full-Fock output-loss path; building the table on
+    # the detected basis (output loss as input loss) must not move them
+    r = min_samples_to_validate(20, 3, LossConfig(0, 1), ensemble=10, trials=500, seed=1,
+                                max_samples=1500, workers=workers)
+    assert r.per_unitary.tolist() == [118, 105, 109, 89, 104, 98, 90, 91, 101, 107]
+
+
 def test_validate_pool_width_is_bounded_by_cpu_count(monkeypatch):
     widths = []
 

@@ -13,21 +13,27 @@ does not depend on where they were lost: `LossConfig(a, b)` gives the table of
 `LossConfig(a + b, 0)`. The builder therefore averages uniformly over the
 injected subsets of the heralded photons that reach the detectors, and
 evaluates each subset's permanents over the detected family only. A bunched
-heralded state gives repeated subsets, which carry the thinning multiplicity.
-A table with output loss is renormalized over the collision-free detected
-family. Mode-dependent loss would not commute and is not modelled.
+heralded state reaches some injected mode tuples several ways; each distinct
+tuple is evaluated once and weighted by that multiplicity. A table with
+output loss is renormalized over the collision-free detected family.
+Mode-dependent loss would not commute and is not modelled.
 `full_distribution` (lossless) and `lossy_distribution` are single calls into
 the builder; certification calls it for both models at once, on one basis
 shared by the whole ensemble.
 
-The submatrix gather lives in the Glynn driver (`permanent._glynn_stack`):
-a build hands it the column block u[:, in_modes] and the output-mode rows,
-and each chunk gathers its own matrices, so the gather's temporaries stay
-within CHUNK_BYTES and a build's memory is a few vectors of the basis size.
+The permanents come from one memoized Laplace recursion, not one Glynn sum
+per pattern. Expanding along the injected modes in order, level k holds the
+permanent of every k-photon output row set against a length-k prefix of an
+injected tuple, each a k-term sum over level k - 1, so patterns that differ by
+one photon share their minors. Its index (`states.expansion_index`) depends
+only on (m, n_det, family); a depth-first walk of the tuples' prefix tree
+keeps one vector per level. The same pass serves lossless and lossy tables,
+bunched heralded states and full-Fock outputs.
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -40,12 +46,14 @@ from .errors import (
     InvalidDistributionError,
 )
 from .linalg import build_submatrix, mode_indices, occupation_factorial, photon_number
-from .permanent import _glynn_stack, permanent_glynn, permanents_batch
+from .permanent import permanent_glynn, permanents_batch
 
 INDISTINGUISHABLE = "indistinguishable"
 DISTINGUISHABLE = "distinguishable"
 
 NORMALIZATION_TOL = 1e-9
+# rows per chunk of an expansion level: its temporaries are a few such chunks
+EXPAND_ROWS = 1 << 14
 
 
 @dataclass
@@ -126,27 +134,6 @@ def distinguishable_probability(u: np.ndarray, input_state, output_state) -> flo
     return float(per.real / occupation_factorial(output_state))
 
 
-def _batch_probabilities(u, in_modes, out_modes_stack, out_occ, model) -> np.ndarray:
-    """Probabilities of every output pattern in the stack, one batch of permanents.
-
-    The Glynn driver gathers the submatrices from the column block; the
-    distinguishable model hands it the real |u[:, in_modes]|^2, which holds
-    the same entries as |gather|^2.
-    """
-    if model == INDISTINGUISHABLE:
-        probs = np.abs(_glynn_stack(u[:, in_modes], 1, out_modes_stack)) ** 2
-        probs /= math.prod(math.factorial(int(c)) for c in np.bincount(in_modes))
-    elif model == DISTINGUISHABLE:
-        probs = _glynn_stack(np.abs(u[:, in_modes]) ** 2, 1, out_modes_stack)
-    else:
-        raise InvalidConfigurationError(f"unknown particle model {model!r}")
-    n = out_modes_stack.shape[1]
-    if np.any(out_occ > 1):
-        fact = np.array([math.factorial(i) for i in range(n + 1)], dtype=np.float64)
-        probs /= np.prod(fact[out_occ], axis=1)
-    return probs
-
-
 def full_distribution(
     u: np.ndarray,
     input_state,
@@ -193,6 +180,78 @@ def lossy_distribution(
     return _distributions(u, heralded_state, loss, (model,))[0]
 
 
+def _basis(m: int, n: int, family: str) -> tuple:
+    """(occupations, expansion index) of the n-photon family, what a build reads.
+
+    The index's last level lists the family's mode rows in rank order, so the
+    occupation vectors come from it and the family is enumerated once.
+    """
+    index = st.expansion_index(m, n, family)
+    return st.occupations(index[-1][0], m), index
+
+
+def _targets(her: np.ndarray, n_det: int) -> list:
+    """(modes, multiplicity) of each distinct injected subset of n_det heralded photons.
+
+    The mode tuples come in lexicographic order, so tuples that share a prefix
+    are neighbours; a bunched heralded state reaches some tuples several ways.
+    """
+    return list(Counter(combinations(mode_indices(her).tolist(), n_det)).items())
+
+
+def _expand(cols: np.ndarray, index: list, targets: list, squared: bool) -> np.ndarray:
+    """Sum over targets of weight * |per|^2 / (input factorials), or of weight * per,
+    for every row set of the index's last level.
+
+    Level k holds per(cols[R, target[:k]]) for every k-row set R, by the
+    Laplace expansion along the k-th injected mode: a k-term sum over level
+    k - 1. `levels` is the stack of a depth-first walk of the targets' prefix
+    tree, so a target recomputes only the levels below the prefix it shares
+    with the one before, and one vector per level is alive. Rows are computed
+    in chunks of EXPAND_ROWS, and the last level goes into the sum chunk by
+    chunk, so the temporaries stay within a few chunks whatever the family.
+    """
+    n = len(index)
+    acc = np.zeros(index[-1][0].shape[1])
+    chunk = np.empty(EXPAND_ROWS, cols.dtype)
+    term = np.empty(EXPAND_ROWS, cols.dtype)
+    levels = [np.ones(1, cols.dtype)]  # level 0: the permanent of the empty minor
+    prev = ()
+    for target, weight in targets:
+        keep = 0
+        while keep < len(prev) and prev[keep] == target[keep]:
+            keep += 1
+        del levels[keep + 1:]
+        if squared:
+            weight /= math.prod(math.factorial(c) for c in Counter(target).values())
+        for k in range(keep + 1, n + 1):
+            modes, parents = index[k - 1]
+            col, below = cols[:, target[k - 1]], levels[k - 1]
+            size = modes.shape[1]
+            level = np.empty(size, cols.dtype) if k < n else None
+            for lo in range(0, size, EXPAND_ROWS):
+                hi = min(lo + EXPAND_ROWS, size)
+                per = chunk[: hi - lo] if level is None else level[lo:hi]
+                # every index is in range, and mode "clip" skips the buffered
+                # copy of `out` that "raise" makes
+                np.take(col, modes[0, lo:hi], out=per, mode="clip")
+                per *= np.take(below, parents[0, lo:hi], mode="clip")
+                part = term[: hi - lo]
+                for t in range(1, k):
+                    np.take(col, modes[t, lo:hi], out=part, mode="clip")
+                    part *= np.take(below, parents[t, lo:hi], mode="clip")
+                    per += part
+                if level is None:
+                    if squared:
+                        per = np.abs(per) ** 2
+                    per *= weight
+                    acc[lo:hi] += per
+            if level is not None:
+                levels.append(level)
+        prev = target
+    return acc
+
+
 def _distributions(u, state, loss: LossConfig, models, family=st.COLLISION_FREE,
                    renormalize=True, basis=None) -> list:
     """The distribution of each model in turn, all from one basis.
@@ -202,10 +261,10 @@ def _distributions(u, state, loss: LossConfig, models, family=st.COLLISION_FREE,
     uniformly over the injected subsets of the rest. Without output loss the
     result spans `family` and is renormalized if `renormalize`; with it, the
     result is always renormalized over the collision-free detected family.
-    The detected basis (occ, modes) comes from `basis`, as
-    `states.enumerate_states` returns it, or is enumerated here when it is
-    None. Per injected subset each model evaluates its own permanents, one
-    model after the other. Each result equals a one-model call bit for bit.
+    The detected basis (occ, index) comes from `basis`, as `_basis` returns
+    it, or is built here when it is None. Each model walks the index on its
+    own column block, u or |u|^2, so each result equals a one-model call bit
+    for bit.
     """
     her = np.asarray(state)
     m = u.shape[0]
@@ -216,20 +275,27 @@ def _distributions(u, state, loss: LossConfig, models, family=st.COLLISION_FREE,
         raise InvalidConfigurationError(
             f"losses ({loss.total}) must be fewer than heralded photons ({n_her})"
         )
+    for model in models:
+        if model not in (INDISTINGUISHABLE, DISTINGUISHABLE):
+            raise InvalidConfigurationError(f"unknown particle model {model!r}")
     n_det = n_her - loss.total
     if loss.n_lost_out:
         family, renormalize = st.COLLISION_FREE, True
-    occ, modes = st.enumerate_states(m, n_det, family) if basis is None else basis
-    subsets = list(combinations(mode_indices(her).tolist(), n_det))
-    acc = np.zeros((len(models), modes.shape[0]), dtype=np.float64)
-    for sub in subsets:
-        in_modes = np.array(sub, dtype=np.int64)
-        for row, model in zip(acc, models):
-            row += _batch_probabilities(u, in_modes, modes, occ, model)
-    acc /= len(subsets)
+    occ, index = _basis(m, n_det, family) if basis is None else basis
+    targets = _targets(her, n_det)
+    subsets = sum(weight for _, weight in targets)
+    out_fact = None
+    if family == st.FULL_FOCK:
+        fact = np.array([math.factorial(i) for i in range(n_det + 1)], dtype=np.float64)
+        out_fact = np.prod(fact[occ], axis=1)
 
     dists = []
-    for row in acc:
+    for model in models:
+        squared = model == INDISTINGUISHABLE
+        row = _expand(u if squared else np.abs(u) ** 2, index, targets, squared)
+        if out_fact is not None:
+            row /= out_fact
+        row /= subsets
         mass = float(row.sum())
         if renormalize and mass == 0.0:
             raise InvalidDistributionError(

@@ -17,10 +17,11 @@ evaluation share one summation tree and return bit-identical results for
 any partition count, and a one-matrix stack matches the single-matrix call.
 Reductions are elementwise, never through BLAS.
 
-The submatrices of one unitary are gathered inside the driver: it takes an
-(m, n) block of columns and the (K, n) rows each matrix picks from it, and
-each job gathers only its own chunk, so a batch holds no (K, n, n) stack and
-its temporaries stay within CHUNK_BYTES (or SEGMENT_BYTES) whatever K is.
+Glynn serves single permanents and explicit stacks (`permanent`,
+`bs_probability`, `permanents_batch`). Whole distribution tables do not come
+from here: distribution.py builds every minor of a column block at once by a
+memoized Laplace expansion over output row sets, which shares the work that
+patterns differing by one photon have in common.
 
 The independent small-n oracle sums over permutations by the memoized row
 (Laplace) expansion over column subsets, O(n^2 2^n): it shares no sign
@@ -110,28 +111,20 @@ def _glynn_sums(base: np.ndarray, steps: np.ndarray, out: np.ndarray) -> np.ndar
     return out
 
 
-def _glynn_stack(mats: np.ndarray, partitions: int, picks: np.ndarray | None = None
-                 ) -> np.ndarray:
+def _glynn_stack(mats: np.ndarray, partitions: int) -> np.ndarray:
     """Glynn permanents of a (K, n, n) stack; real input gives real output.
-
-    With `picks` (K, n), `mats` is an (m, n) block of columns and matrix k is
-    mats[picks[k]]: each job gathers its chunk from a transposed copy of the
-    block into the layout a stack's chunk is copied into, with the same
-    values, so the result is the same bit for bit.
 
     Each job is one segment of one chunk of matrices: the bits of the segment
     fix the signs of the rows above `bits`, and the table of rows 1..bits is
     built from that base by doubling, with K as the contiguous axis. Signed
     partials are added in (chunk, segment) order whatever the pool width.
     """
-    k, n = (mats.shape[0], mats.shape[1]) if picks is None else picks.shape
+    k, n = mats.shape[0], mats.shape[1]
     if n > GLYNN_MAX_N:
         raise InvalidDimensionError(f"glynn permanent capped at n={GLYNN_MAX_N}, got {n}")
     dtype = np.dtype(np.complex128 if np.iscomplexobj(mats) else np.float64)
     if n == 1:
-        return (mats[:, 0, 0] if picks is None else mats[picks[:, 0], 0]).astype(dtype)
-    if picks is not None:
-        cols_t = np.array(mats.T, dtype, order="C")  # (n, m): row j is column j of the block
+        return mats[:, 0, 0].astype(dtype)
     # sign bits per segment: the most whose n + 2 rows of 2^bits fit SEGMENT_BYTES
     # (the table and its products take n + 1)
     bits = min(n - 1, (SEGMENT_BYTES // ((n + 2) * dtype.itemsize)).bit_length() - 1)
@@ -141,14 +134,7 @@ def _glynn_stack(mats: np.ndarray, partitions: int, picks: np.ndarray | None = N
 
     def job(lo_seg):
         lo, seg = lo_seg
-        if picks is None:
-            rows = np.array(mats[lo : lo + chunk].transpose(1, 2, 0), dtype, order="C")
-        else:
-            # rows[i, j, c] = mats[picks[lo + c, i], j]; every pick is a valid row,
-            # and mode "clip" skips the buffered copy of `out` that "raise" makes
-            rows = np.empty((n, n, min(chunk, k - lo)), dtype)
-            for i in range(n):
-                np.take(cols_t, picks[lo : lo + chunk, i], axis=1, out=rows[i], mode="clip")
+        rows = np.array(mats[lo : lo + chunk].transpose(1, 2, 0), dtype, order="C")
         base = rows.sum(axis=0)
         rows *= 2.0
         for i in range(n - 1 - bits):

@@ -9,6 +9,12 @@ with modes c_0 <= ... <= c_{n-1} is ranked as the collision-free state
 c_i + i over m + n - 1 modes ("stars and bars"), which keeps the same
 lexicographic order. One table of binomials serves both directions:
 `state_ranks` ranks mode rows and `enumerate_states` unranks 0..K-1.
+
+Both ranks split at the lowest mode c_0: the rank of a k-photon row is
+C(d_0, k) plus the rank at k - 1 photons of the row without c_0, with
+d_0 = m-1-c_0 (m+k-2-c_0 for full Fock). So each family is a run of blocks by
+first mode (`first_mode_blocks`), and `expansion_index` builds every level
+1..n from the one below by slice copies.
 """
 from __future__ import annotations
 
@@ -53,16 +59,20 @@ def _rank_table(m: int, n: int, family: str) -> tuple[np.ndarray, np.ndarray]:
     return table, shift
 
 
+def _require_family(m: int, n: int, family: str) -> None:
+    if n < 1 or m < 1:
+        raise InvalidConfigurationError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
+    if family == COLLISION_FREE and n > m:
+        raise InvalidConfigurationError(f"collision-free family needs n <= m, got n={n}, m={m}")
+
+
 def enumerate_states(m: int, n: int, family: str):
     """Return (occupations, modes) for every n-photon state of the family.
 
     occupations: (K, m) uint8 array of occupation vectors, lexicographic.
     modes: (K, n) int32 array of the repeated mode index of each photon.
     """
-    if n < 1 or m < 1:
-        raise InvalidConfigurationError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
-    if family == COLLISION_FREE and n > m:
-        raise InvalidConfigurationError(f"collision-free family needs n <= m, got n={n}, m={m}")
+    _require_family(m, n, family)
     total = count_states(m, n, family)
     if total > DEFAULT_STATE_CAP:
         raise InstanceTooLargeError(
@@ -72,15 +82,21 @@ def enumerate_states(m: int, n: int, family: str):
     top = table.shape[1] - 1
     rest = np.arange(total, dtype=np.int64)
     modes = np.empty((total, n), dtype=np.int32)
-    occ = np.zeros((total, m), dtype=np.uint8)
-    rows = np.arange(total)
     for i in range(n):
         # largest v with C(v, n-i) <= rest: the greedy digit of the number system
         v = np.searchsorted(table[i], rest, side="right") - 1
         rest -= table[i, v]
         modes[:, i] = top - shift[i] - v
-        occ[rows, modes[:, i]] += 1
-    return occ, modes
+    return occupations(modes.T, m), modes
+
+
+def occupations(modes, m: int) -> np.ndarray:
+    """(K, m) uint8 occupation vectors of K mode rows given photon by photon, (n, K)."""
+    occ = np.zeros((modes.shape[1], m), dtype=np.uint8)
+    rows = np.arange(modes.shape[1])
+    for photon in modes:
+        occ[rows, photon] += 1
+    return occ
 
 
 def state_ranks(modes, m: int, family: str) -> np.ndarray:
@@ -99,6 +115,60 @@ def state_ranks(modes, m: int, family: str) -> np.ndarray:
     if family == COLLISION_FREE:
         ranks[np.any(modes[:, 1:] == modes[:, :-1], axis=1)] = -1
     return ranks
+
+
+def first_mode_blocks(m: int, k: int, family: str) -> list[tuple[int, int, int]]:
+    """(c0, start, count) of each run of k-photon rows by lowest mode c0, in rank order.
+
+    The rows whose lowest mode is c0 hold ranks [start, start + count), with
+    start = C(d0, k) and count = C(d0, k - 1). Row start + j without c0 is
+    row j of level k - 1: the remainders are exactly the rows whose modes lie
+    above c0 (at or above it for full Fock), and those rank first.
+    """
+    count_states(m, k, family)  # refuses an unknown family
+    top = m - 1 if family == COLLISION_FREE else m + k - 2
+    lowest = m - k if family == COLLISION_FREE else m - 1
+    return [(c0, comb(top - c0, k), comb(top - c0, k - 1)) for c0 in range(lowest, -1, -1)]
+
+
+def expansion_index(m: int, n: int, family: str) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(modes, parents) of every level k = 1..n of the family, rows in rank order.
+
+    modes[t, r] is the mode of photon t of row r (non-decreasing in t), and
+    parents[t, r] the rank at level k - 1 of row r without photon t; both are
+    (k, K_k), modes of the smallest unsigned type that holds m - 1 and parents
+    int32. Level k is copied block by block from level k - 1 (see
+    first_mode_blocks). A family with a level of more than DEFAULT_STATE_CAP
+    rows is refused before anything is allocated: collision-free levels peak
+    at k = m/2, full-Fock levels at k = n.
+    """
+    _require_family(m, n, family)
+    sizes = [count_states(m, k, family) for k in range(1, n + 1)]
+    if max(sizes) > DEFAULT_STATE_CAP:
+        raise InstanceTooLargeError(
+            f"{family} expansion for m={m}, n={n} has a level of {max(sizes)} rows, "
+            f"cap is {DEFAULT_STATE_CAP}"
+        )
+    mode_type = np.min_scalar_type(m - 1)
+    modes = np.zeros((0, 1), dtype=mode_type)  # level 0: the empty row
+    parents = np.zeros((0, 1), dtype=np.int32)
+    starts = {}
+    levels = []
+    for k, size in enumerate(sizes, start=1):
+        up_modes = np.empty((k, size), dtype=mode_type)
+        up_parents = np.empty((k, size), dtype=np.int32)
+        blocks = first_mode_blocks(m, k, family)
+        for c0, start, count in blocks:
+            rows = slice(start, start + count)
+            up_modes[0, rows] = c0
+            up_modes[1:, rows] = modes[:, :count]
+            up_parents[0, rows] = np.arange(count)
+            # without photon t >= 1 the row keeps c0: block c0 of level k - 1
+            up_parents[1:, rows] = parents[:, :count] + starts.get(c0, 0)
+        modes, parents = up_modes, up_parents
+        starts = {c0: start for c0, start, _ in blocks}
+        levels.append((modes, parents))
+    return levels
 
 
 def format_states(occ) -> list[str]:

@@ -12,10 +12,11 @@ log-ratios summed only for the columns of the next block, and reading stops at
 the first block that holds the answer. The answer is 10-120 in practice
 against a cap of hundreds to thousands, so most of each stream is never read.
 
-The ensemble shares one basis, and its unitaries may run on a thread pool;
-each one's minimum depends only on its own seeds. The Glynn driver gathers
-each build's submatrices chunk by chunk (see permanent.py), so a unitary
-holds a few vectors of the basis size and its (trials, max_samples) uniforms.
+The ensemble shares one basis, its states and their expansion index (see
+distribution.py), and its unitaries may run on a thread pool; each one's
+minimum depends only on its own seeds. A build walks the index with one
+vector per level alive, so a unitary holds a few vectors of the basis size
+and its (trials, max_samples) uniforms.
 """
 from __future__ import annotations
 
@@ -29,6 +30,7 @@ from .distribution import (
     INDISTINGUISHABLE,
     LossConfig,
     OutputDistribution,
+    _basis,
     _cdf,
     _distributions,
     _require_comparable,
@@ -165,7 +167,7 @@ def min_samples_to_validate(
         raise InvalidConfigurationError("output losses leave no detected photons")
     if n + loss.n_lost_in > m:
         raise InvalidConfigurationError("heralded photons exceed mode count")
-    basis = st.enumerate_states(m, n_det, st.COLLISION_FREE)
+    basis = _basis(m, n_det, st.COLLISION_FREE)
 
     def single(child):
         u_ss, stream_ss = child.spawn(2)

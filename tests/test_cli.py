@@ -655,6 +655,30 @@ def test_distribution_renormalizing_zero_mass_exits_1(tmp_path, capsys):
     assert captured.out == "" and captured.err.startswith("invalid-distribution: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["distribution", "--input", ":".join(["1"] * 14 + ["0"] * 11)],
+    ["validate", "--m", "25", "--n", "14", "--ensemble", "2", "--trials", "50"],
+])
+def test_oversized_expansion_level_exits_1_before_allocating(tmp_path, capsys, argv):
+    # the C(25, 14) detected patterns fit the state cap, but the levels
+    # k = 12, 13 of their expansion do not
+    if argv[0] == "distribution":
+        path = tmp_path / "u.json"
+        path.write_text(matrix_to_json(haar_random_unitary(25, 3)))
+        argv = argv + ["--unitary", str(path)]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("instance-too-large: ") and "Traceback" not in captured.err
+    assert peak < 2**20  # the refused 4.5M-state basis would take hundreds of MB
+
+
 def test_distribution_rejects_non_unitary_file(tmp_path, capsys):
     u = haar_random_unitary(4, 5)
     u[0, 0] += 1e-6

@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from scattershot import distribution
 from scattershot import states as st
 from scattershot.distribution import (
     DISTINGUISHABLE,
     INDISTINGUISHABLE,
     LossConfig,
     OutputDistribution,
-    _batch_probabilities,
     _distributions,
+    _targets,
     bs_probability,
     distinguishable_probability,
     full_distribution,
@@ -28,7 +29,6 @@ from scattershot.errors import (
     InvalidDistributionError,
 )
 from scattershot.linalg import haar_random_unitary, mode_indices, photon_number
-from scattershot.permanent import permanents_batch
 
 BEAM_SPLITTER = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
@@ -265,32 +265,50 @@ def test_shared_builder_matches_separate_builds(loss):
                 want.raw_mass, want.family, want.renormalized)
 
 
-@pytest.mark.parametrize("inp", [[1, 1, 1, 0, 0, 0, 0], [2, 0, 1, 0, 0, 0, 0]])
-def test_distinguishable_gather_equals_squared_complex_gather(inp):
-    # the distinguishable rule gathers from |u[:, in_modes]|^2; the reference
-    # squares the gathered complex stack elementwise, as the rule is written
-    u = haar_random_unitary(7, 6)
-    in_modes = mode_indices(inp)
-    occ, modes = st.enumerate_states(7, 3, st.FULL_FOCK)
-    want = permanents_batch(np.abs(u[modes[:, :, None], in_modes]) ** 2)
-    want /= np.prod([[math.factorial(int(k)) for k in row] for row in occ], axis=1)
-    assert np.array_equal(_batch_probabilities(u, in_modes, modes, occ, DISTINGUISHABLE), want)
+def _per_state_table(u, heralded, n_det, states, model):
+    """Raw table by one per-state Glynn value per (injected subset, output state).
+
+    Subsets of heralded photons are listed as the parent builder listed them,
+    repeats of a bunched state included.
+    """
+    m = len(heralded)
+    rule = bs_probability if model == INDISTINGUISHABLE else distinguishable_probability
+    subsets = [np.bincount(sub, minlength=m)
+               for sub in itertools.combinations(mode_indices(heralded).tolist(), n_det)]
+    return np.array([sum(rule(u, s, t) for s in subsets) for t in states]) / len(subsets)
 
 
-@pytest.mark.parametrize("model", [INDISTINGUISHABLE, DISTINGUISHABLE])
-def test_batch_probabilities_match_materialized_gather(model):
-    # a bunched heralded input (two photons in mode 0) over full-Fock outputs;
-    # the reference builds the whole (K, n, n) gather first
-    u = haar_random_unitary(7, 8)
-    in_modes = mode_indices([2, 0, 1, 1, 0, 0, 0])
-    occ, modes = st.enumerate_states(7, 4, st.FULL_FOCK)
-    stack = u[modes[:, :, None], in_modes]
-    if model == INDISTINGUISHABLE:
-        want = np.abs(permanents_batch(stack)) ** 2 / 2.0
-    else:
-        want = permanents_batch(np.abs(stack) ** 2)
-    want /= np.prod([[math.factorial(int(k)) for k in row] for row in occ], axis=1)
-    assert np.array_equal(_batch_probabilities(u, in_modes, modes, occ, model), want)
+@pytest.mark.parametrize("heralded,loss,family", [
+    ([1, 1, 1, 0, 0, 0, 0], LossConfig(), st.COLLISION_FREE),
+    ([1, 1, 1, 0, 0, 0, 0], LossConfig(), st.FULL_FOCK),
+    ([2, 0, 1, 1, 0, 0, 0], LossConfig(), st.FULL_FOCK),
+    ([1, 1, 1, 1, 0, 0, 0], LossConfig(1, 0), st.COLLISION_FREE),
+    ([1, 1, 1, 1, 0, 0, 0], LossConfig(0, 1), st.COLLISION_FREE),
+    ([2, 1, 0, 1, 0, 0, 0], LossConfig(1, 1), st.COLLISION_FREE),
+    ([3, 0, 1, 1, 0, 0, 0], LossConfig(0, 2), st.COLLISION_FREE),
+])
+def test_tables_match_per_state_glynn(heralded, loss, family, monkeypatch):
+    # the recursion and permanent_naive share one algorithm, so the reference
+    # is Glynn, one state and one injected subset at a time
+    u = haar_random_unitary(len(heralded), 29)
+    models = (INDISTINGUISHABLE, DISTINGUISHABLE)
+    dists = _distributions(u, heralded, loss, models, family, False)
+    # rows are computed in chunks: tiny ones put many chunk edges in these tables
+    monkeypatch.setattr(distribution, "EXPAND_ROWS", 4)
+    chunked = _distributions(u, heralded, loss, models, family, False)
+    for model, *tables in zip(models, dists, chunked):
+        want = _per_state_table(u, heralded, tables[0].n_detected, tables[0].states, model)
+        for d in tables:
+            got = d.probs * d.raw_mass if d.renormalized else d.probs
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(d.raw_mass, want.sum(), rtol=1e-12, atol=0.0)
+
+
+def test_bunched_heralded_state_evaluates_each_injected_tuple_once():
+    # photons in modes (0, 0, 1, 3): of the 6 two-photon subsets, (0, 1) and
+    # (0, 3) each arise twice
+    targets = _targets(np.array([2, 1, 0, 1, 0, 0, 0]), 2)
+    assert targets == [((0, 0), 1), ((0, 1), 2), ((0, 3), 2), ((1, 3), 1)]
 
 
 def test_two_model_build_memory_is_bounded():

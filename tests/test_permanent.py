@@ -254,23 +254,6 @@ def test_one_matrix_stack_matches_single_call_bitwise(n):
     assert permanents_batch(a[None])[0] == permanent_glynn(a)
 
 
-@pytest.mark.parametrize("n", range(1, 8))
-def test_gathered_stack_matches_materialized_gather_bitwise(n):
-    # matrix k is rows picks[k] of an (m, n) block, gathered by the driver chunk
-    # by chunk; two full chunks and one more leave a one-matrix last chunk
-    rng = np.random.default_rng(53 + n)
-    m = 9
-    cols = rng.random((m, n)) + 1j * rng.random((m, n)) - (0.5 + 0.5j)
-    for block in (cols, np.abs(cols) ** 2):  # both particle models
-        per_matrix = block.itemsize * (((n + 2) << (n - 1)) + n * n + n)
-        k = 2 * (CHUNK_BYTES // per_matrix) + 1
-        picks = np.sort(rng.integers(0, m, (k, n)), axis=1).astype(np.int32)
-        got = permanent._glynn_stack(block, 1, picks)
-        want = permanents_batch(block[picks])
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
-
-
 def test_batch_rejects_stacks_above_glynn_cap():
     with pytest.raises(InvalidDimensionError):
         permanents_batch(np.zeros((1, GLYNN_MAX_N + 1, GLYNN_MAX_N + 1)))

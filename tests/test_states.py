@@ -11,8 +11,11 @@ from scattershot.states import (
     COLLISION_FREE,
     FORMAT_CHUNK,
     FULL_FOCK,
+    DEFAULT_STATE_CAP,
     count_states,
     enumerate_states,
+    expansion_index,
+    first_mode_blocks,
     format_states,
     state_from_string,
     state_ranks,
@@ -109,6 +112,51 @@ def test_cap_enforced():
     # C(40, 10) ~ 8.5e8 states exceeds DEFAULT_STATE_CAP
     with pytest.raises(InstanceTooLargeError):
         enumerate_states(40, 10, COLLISION_FREE)
+
+
+FAMILY_SIZES = [(COLLISION_FREE, m, n) for m, n in ((1, 1), (5, 3), (6, 6), (9, 4), (12, 5))] + [
+    (FULL_FOCK, m, n) for m, n in ((1, 3), (2, 4), (5, 3), (7, 4), (9, 2))]
+
+
+@pytest.mark.parametrize("family,m,n", FAMILY_SIZES)
+def test_first_mode_blocks_tile_the_family(family, m, n):
+    for k in range(1, n + 1):
+        blocks = first_mode_blocks(m, k, family)
+        ends = [0] + [start + count for _, start, count in blocks]
+        assert [start for _, start, _ in blocks] == ends[:-1]
+        assert ends[-1] == count_states(m, k, family)
+        assert all(count > 0 for _, _, count in blocks)
+        _, modes = enumerate_states(m, k, family)
+        for c0, start, count in blocks:
+            assert np.all(modes[start:start + count, 0] == c0)
+
+
+@pytest.mark.parametrize("family,m,n", FAMILY_SIZES)
+def test_expansion_index_levels_and_parents(family, m, n):
+    index = expansion_index(m, n, family)
+    assert len(index) == n
+    for k, (modes, parents) in enumerate(index, start=1):
+        assert (modes.dtype, parents.dtype) == (np.uint8, np.int32)
+        assert np.array_equal(modes.T, enumerate_states(m, k, family)[1])
+        for t in range(k):
+            rest = np.delete(modes.T, t, axis=1)
+            want = state_ranks(rest, m, family) if k > 1 else np.zeros(modes.shape[1])
+            assert np.array_equal(parents[t], want)
+
+
+def test_expansion_index_refuses_an_oversized_level():
+    # C(25, 14) fits the cap, but the levels k = 12, 13 on the way hold C(25, 12) rows
+    assert count_states(25, 14, COLLISION_FREE) <= DEFAULT_STATE_CAP
+    assert count_states(25, 12, COLLISION_FREE) > DEFAULT_STATE_CAP
+    with pytest.raises(InstanceTooLargeError, match="level of 5200300 rows"):
+        expansion_index(25, 14, COLLISION_FREE)
+    with pytest.raises(InstanceTooLargeError):
+        expansion_index(40, 10, COLLISION_FREE)
+    # full-Fock levels grow with k: the last one, which enumerate_states caps, is the largest
+    with pytest.raises(InstanceTooLargeError):
+        expansion_index(30, 9, FULL_FOCK)
+    with pytest.raises(InvalidConfigurationError):
+        expansion_index(2, 3, COLLISION_FREE)
 
 
 def test_collision_free_needs_enough_modes():

@@ -22,7 +22,6 @@ from .permanent import (
     permanent_glynn,
     permanent_glynn_parallel,
     permanent_naive,
-    permanents_batch,
 )
 from .sources import (
     MwParams,
@@ -30,7 +29,6 @@ from .sources import (
     SpdcParams,
     monte_carlo_mw,
     monte_carlo_spdc,
-    p_fake_in,
     p_mw_in,
     p_mw_lossy,
     p_mw_lossy_dark,
@@ -46,7 +44,6 @@ from .supremacy import (
     supremacy_sweep_mw,
     supremacy_sweep_qd,
     supremacy_sweep_spdc,
-    t_classical,
     t_classical_lossy,
 )
 from .validation import (

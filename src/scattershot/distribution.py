@@ -46,7 +46,7 @@ from .errors import (
     InvalidDistributionError,
 )
 from .linalg import build_submatrix, mode_indices, occupation_factorial, photon_number
-from .permanent import permanent_glynn, permanents_batch
+from .permanent import _glynn, permanent_glynn
 
 INDISTINGUISHABLE = "indistinguishable"
 DISTINGUISHABLE = "distinguishable"
@@ -130,8 +130,8 @@ def bs_probability(u: np.ndarray, input_state, output_state) -> float:
 def distinguishable_probability(u: np.ndarray, input_state, output_state) -> float:
     """per(|U_{S,T}|^2) / prod t_j!, the classical-particle transition rule."""
     sub = build_submatrix(u, input_state, output_state)
-    per = permanents_batch(np.abs(sub[None, :, :]) ** 2)[0]
-    return float(per.real / occupation_factorial(output_state))
+    per = _glynn(np.abs(sub) ** 2, 1)
+    return float(per / occupation_factorial(output_state))
 
 
 def full_distribution(

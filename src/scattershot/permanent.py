@@ -5,21 +5,18 @@ vector (1, d_1, ..., d_{n-1}). `_glynn_sums` builds the column sums of all
 2^r sign vectors over r rows by doubling: each sum is one subtraction away
 from one built before it, so a table costs O(n 2^r) with no Gray walk.
 
-One driver evaluates every Glynn permanent, of one matrix or of a (K, n, n)
-stack. Each table is cut into fixed segments of sign vectors, as many per
-segment as keep one matrix's temporaries within SEGMENT_BYTES (a function of
-n and the dtype only). A segment fixes the signs of the top rows, builds the
-table of the others from that base, and sums its products with the sign as
-one more factor. Matrices share a table in chunks, with K as the contiguous
-axis, sized by CHUNK_BYTES, or one at a time when a table is larger. Signed
-partials are reduced in (chunk, segment) order, so serial and parallel
-evaluation share one summation tree and return bit-identical results for
-any partition count, and a one-matrix stack matches the single-matrix call.
-Reductions are elementwise, never through BLAS.
+One driver evaluates every Glynn permanent. The table is cut into fixed
+segments of sign vectors, as many per segment as keep the temporaries within
+SEGMENT_BYTES (a function of n and the dtype only). A segment fixes the signs
+of the top rows, builds the table of the others from that base, and sums its
+products with the sign as one more factor. Signed partials are reduced in
+segment order, so serial and parallel evaluation share one summation tree and
+return bit-identical results for any partition count. Reductions are
+elementwise, never through BLAS.
 
-Glynn serves single permanents and explicit stacks (`permanent`,
-`bs_probability`, `permanents_batch`). Whole distribution tables do not come
-from here: distribution.py builds every minor of a column block at once by a
+Glynn serves single permanents (`permanent`, `bs_probability`,
+`distinguishable_probability`). Whole distribution tables do not come from
+here: distribution.py builds every minor of a column block at once by a
 memoized Laplace expansion over output row sets, which shares the work that
 patterns differing by one photon have in common.
 
@@ -45,9 +42,6 @@ GLYNN_MAX_N = 30
 # cap on the temporaries of one Glynn segment: large, because a segment costs
 # ~20 numpy calls whose Python overhead holds the GIL between the numpy work
 SEGMENT_BYTES = 8 << 20
-# cap on the temporaries of one batch chunk: small, because the batch streams
-# its table through memory and runs fastest when a chunk stays in cache
-CHUNK_BYTES = 2 << 20
 # numpy copies an operand through its ufunc buffer (8192 elements by default)
 # when the inner loop is much shorter than the buffer; the early doubling
 # steps have short inner loops and run faster without those copies
@@ -111,62 +105,58 @@ def _glynn_sums(base: np.ndarray, steps: np.ndarray, out: np.ndarray) -> np.ndar
     return out
 
 
-def _glynn_stack(mats: np.ndarray, partitions: int) -> np.ndarray:
-    """Glynn permanents of a (K, n, n) stack; real input gives real output.
+def _glynn(a: np.ndarray, partitions: int):
+    """Glynn permanent of one (n, n) matrix; real input gives a real result.
 
-    Each job is one segment of one chunk of matrices: the bits of the segment
-    fix the signs of the rows above `bits`, and the table of rows 1..bits is
-    built from that base by doubling, with K as the contiguous axis. Signed
-    partials are added in (chunk, segment) order whatever the pool width.
+    Each job is one segment: the bits of the segment fix the signs of the
+    rows above `bits`, and the table of rows 1..bits is built from that base
+    by doubling. Signed partials are added in segment order whatever the
+    pool width.
     """
-    k, n = mats.shape[0], mats.shape[1]
+    n = a.shape[0]
     if n > GLYNN_MAX_N:
         raise InvalidDimensionError(f"glynn permanent capped at n={GLYNN_MAX_N}, got {n}")
-    dtype = np.dtype(np.complex128 if np.iscomplexobj(mats) else np.float64)
+    dtype = np.dtype(np.complex128 if np.iscomplexobj(a) else np.float64)
+    rows = np.asarray(a, dtype)
     if n == 1:
-        return mats[:, 0, 0].astype(dtype)
+        return rows[0, 0]
     # sign bits per segment: the most whose n + 2 rows of 2^bits fit SEGMENT_BYTES
     # (the table and its products take n + 1)
     bits = min(n - 1, (SEGMENT_BYTES // ((n + 2) * dtype.itemsize)).bit_length() - 1)
-    per_matrix = dtype.itemsize * (((n + 2) << bits) + n * n + n)
-    chunk = max(1, min(k, CHUNK_BYTES // per_matrix))
-    jobs = [(lo, seg) for lo in range(0, k, chunk) for seg in range(1 << (n - 1 - bits))]
+    twice = 2.0 * rows
+    segments = range(1 << (n - 1 - bits))
 
-    def job(lo_seg):
-        lo, seg = lo_seg
-        rows = np.array(mats[lo : lo + chunk].transpose(1, 2, 0), dtype, order="C")
+    def job(seg):
         base = rows.sum(axis=0)
-        rows *= 2.0
         for i in range(n - 1 - bits):
             if seg >> i & 1:
-                base -= rows[bits + 1 + i]
-        t = np.empty((n, 1 << bits, rows.shape[2]), dtype)
-        p = np.multiply.reduce(_glynn_sums(base, rows[1 : bits + 1], t), axis=0)
-        p *= _signs(bits)[:, None]  # the sign is the last factor of each product
-        v = p.sum(axis=0)
+                base -= twice[bits + 1 + i]
+        t = np.empty((n, 1 << bits), dtype)
+        p = np.multiply.reduce(_glynn_sums(base, twice[1 : bits + 1], t), axis=0)
+        p *= _signs(bits)  # the sign is the last factor of each product
+        v = p.sum()
         return -v if bin(seg).count("1") & 1 else v
 
     # os.cpu_count() costs a few microseconds, more than a small serial call
-    workers = 1 if partitions == 1 else min(partitions, len(jobs), os.cpu_count() or 1)
+    workers = 1 if partitions == 1 else min(partitions, len(segments), os.cpu_count() or 1)
     pool = None
     if workers > 1:
         pool = ThreadPoolExecutor(workers, initializer=np.setbufsize, initargs=(UFUNC_BUFSIZE,))
-    out = np.zeros(k, dtype)
+    total = dtype.type(0)
     old = np.setbufsize(UFUNC_BUFSIZE)
     try:
-        for (lo, _), v in zip(jobs, (pool.map if pool else map)(job, jobs)):
-            out[lo : lo + v.size] += v
+        for v in (pool.map if pool else map)(job, segments):
+            total += v
     finally:
         np.setbufsize(old)
         if pool:
             pool.shutdown()
-    out *= 2.0 ** (1 - n)
-    return out
+    return total * 2.0 ** (1 - n)
 
 
 def permanent_glynn(a: np.ndarray) -> complex:
     """Permanent by Glynn's 2^(n-1)-term formula, O(n 2^n)."""
-    return complex(_glynn_stack(_require_square(a)[None], 1)[0])
+    return complex(_glynn(_require_square(a), 1))
 
 
 def permanent_glynn_parallel(a: np.ndarray, partitions: int) -> complex:
@@ -178,22 +168,7 @@ def permanent_glynn_parallel(a: np.ndarray, partitions: int) -> complex:
     """
     if partitions < 1:
         raise InvalidDimensionError(f"partitions must be >= 1, got {partitions}")
-    return complex(_glynn_stack(_require_square(a)[None], partitions)[0])
-
-
-def permanents_batch(mats: np.ndarray) -> np.ndarray:
-    """Permanents of a (K, n, n) stack, vectorized over K.
-
-    Chunks of matrices share one table with K as the contiguous axis, so each
-    permanent costs O(n 2^n). Chunks are sized so the temporaries stay within
-    CHUNK_BYTES (2 MiB), or one matrix when a single table is larger; a table
-    is segmented as for a single matrix, so it stays within SEGMENT_BYTES.
-    Real input gives real output.
-    """
-    mats = np.asarray(mats)
-    if mats.ndim != 3 or mats.shape[1] != mats.shape[2] or mats.shape[1] == 0:
-        raise InvalidDimensionError(f"expected (K, n, n) stack, got shape {mats.shape}")
-    return _glynn_stack(mats, 1)
+    return complex(_glynn(_require_square(a), partitions))
 
 
 @dataclass

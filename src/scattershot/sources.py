@@ -7,14 +7,14 @@ heralding outcomes: a triggered single (g eta_t), a triggered double
 (g^2 eta_t2) or no click (the rest). The number of sources heralding n1
 singles and n - n1 doubles is therefore multinomial, and the success, fake
 and lossy event probabilities are short sums over n1 (and the injection
-losses) on top of that one weight. An independent Monte-Carlo simulation of
-the physical process cross-checks each of them.
+losses) on top of that one weight. Each is exact against the shot process,
+which an independent Monte-Carlo simulation samples to cross-check them.
 
 Quantum dot: passive (1/n per photon) or active (eta_dm per photon)
 demultiplexing of a single-photon train.
 
 Microwave: deterministic qubit sources with input loss, output loss and dark
-counts in vacuum modes.
+counts in vacuum modes, summed exactly over created photons and real clicks.
 
 All multinomial weights are assembled in log space so large mode counts do
 not overflow or underflow intermediate factors.
@@ -113,6 +113,11 @@ def _log_comb(n: int, k: int) -> float:
     return lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)
 
 
+def _log_binom(k: int, n: int, p: float) -> float:
+    """Log of the Binomial(n, p) probability of k; -inf outside 0..n."""
+    return _log_comb(n, k) + _log_pow(p, k) + _log_pow(1.0 - p, n - k)
+
+
 def _log_herald(m: int, n: int, n1: int, params: SpdcParams) -> float:
     """Log probability that exactly n of m sources herald, n1 of them with a
     single pair and n - n1 with a double pair.
@@ -151,60 +156,38 @@ def p_sbs(m: int, n: int, params: SpdcParams) -> float:
     return exp(_log_pow(params.eta_d, n)) * total
 
 
-def p_fake_in(n: int, n1: int, p_in: float) -> float:
-    """Probability that n1 heralded singles and n - n1 heralded pairs inject a
-    fake state carrying at least n photons.
-
-    Sums over x pairs injecting both photons (x >= 1 makes the input wrong),
-    z singles and y = w - z pairs injecting exactly one.
-    """
-    if not 0 <= n1 < n:
-        raise InvalidConfigurationError(f"fake injection needs 0 <= n1 < n, got n1={n1}, n={n}")
-    total = 0.0
-    for x in range(1, n - n1 + 1):
-        for w in range(max(n - 2 * x, 0), n - x + 1):
-            for z in range(0, min(n1, w) + 1):
-                y = w - z
-                if y > n - n1 - x:
-                    continue
-                lt = (
-                    (w - z) * log(2.0)
-                    + _log_pow(p_in, w + 2 * x)
-                    + _log_pow(1.0 - p_in, 2 * n - n1 - 2 * x - w)
-                    + _log_comb(n1, z)
-                    + lgamma(n - n1 + 1)
-                    - lgamma(x + 1)
-                    - lgamma(y + 1)
-                    - lgamma(n - n1 - x - y + 1)
-                )
-                total += exp(lt)
-    return total
-
-
 def p_sbs_fake(m: int, n: int, params: SpdcParams) -> float:
     """Probability of an undetectably wrong run: n triggers and n detections
     with an injected state that differs from the heralded singles.
 
-    Sums the heralding weight over n1 < n (a run without a heralded double
-    cannot fake) times the fake-injection probability p_fake_in. The output
-    factor fixes the detection combinatorics at the maximal 2n - n1 injected
-    photons, so the closed form overshoots the exact process: at the reference
-    parameters (g=0.02, eta_T=0.6, p_in=0.7, eta_D=0.6) by 4.9% at n=2 and
-    20.4% at n=3, alike for m = 6, 10 and 16.
+    With n1 heralded singles and j = n - n1 heralded doubles, n + j photons
+    sit behind open shutters, and each is injected and detected independently
+    with p_in eta_d. So n of them are detected with probability
+    C(n+j, j) (p_in eta_d)^n (1 - p_in eta_d)^j, and the correct run takes
+    (p_in eta_d)^n (2 (1 - p_in))^j of it. Their difference is written as two
+    non-negative terms, (C(n+j, j) - 2^j) (1 - p_in)^j and
+    C(n+j, j) (a^j - b^j) with a = 1 - p_in eta_d and b = 1 - p_in, so no
+    cancellation loses precision; a^j - b^j = (a - b) a^(j-1) sum_i (b/a)^i
+    with a - b = p_in (1 - eta_d) taken directly. j = 0 cannot fake.
     """
     if not 1 <= n <= m:
         raise InvalidConfigurationError(f"need 1 <= n <= m, got n={n}, m={m}")
     p_in, eta_d = params.p_in, params.eta_d
-    return sum(
-        p_fake_in(n, n1, p_in)
-        * exp(
-            _log_herald(m, n, n1, params)
-            + _log_pow(eta_d, n)
-            + _log_pow(1.0 - eta_d, n - n1)
-            + _log_comb(2 * n - n1, n)
-        )
-        for n1 in range(0, n)
-    )
+    b, a_minus_b = 1.0 - p_in, p_in * (1.0 - eta_d)
+    a = b + a_minus_b  # 1 - p_in eta_d, accurate also where it is small
+    lead = _log_pow(p_in * eta_d, n)
+    total = 0.0
+    for j in range(1, n + 1):
+        lh = _log_herald(m, n, n - j, params) + lead
+        ways = math.comb(n + j, j)
+        if ways > 1 << j:
+            total += exp(lh + log(ways - (1 << j)) + _log_pow(b, j))
+        if a_minus_b > 0.0:
+            geometric = sum((b / a) ** i for i in range(j))
+            total += exp(
+                lh + log(ways) + log(a_minus_b) + _log_pow(a, j - 1) + log(geometric)
+            )
+    return total
 
 
 def p_sbs_lossy(m: int, n: int, n_lost: int, params: SpdcParams) -> float:
@@ -444,31 +427,24 @@ def p_mw_lossy(n: int, n_lost: int, params: MwParams) -> float:
 def p_mw_lossy_dark(m: int, n: int, n_lost: int, params: MwParams) -> float:
     """Microwave run with n_lost apparent losses including dark counts.
 
-    Closed form where j dark counts substitute for real detections, with
-    vacuum-mode weight p_d^j (1-p_d)^(m-n+l) C(m-n+l+j, j). The dark-count
-    combinatorics are approximate for n_lost >= 1 (the Bernoulli-process
-    oracle quantifies the gap); the p_dark = 0 reduction is exact.
+    Sums the process directly: c of the n photons are created (p_in), r of
+    them click (eta_d), and the other n - n_lost - r clicks are dark counts
+    among the m - c vacuum modes (p_dark each). At p_dark = 0 only
+    r = n - n_lost survives, which is p_mw_lossy.
     """
     if not 0 <= n_lost <= n or n > m:
         raise InvalidConfigurationError(
             f"need 0 <= n_lost <= n <= m, got n_lost={n_lost}, n={n}, m={m}"
         )
-    eta_d, p_d = params.eta_d, params.p_dark
+    clicks = n - n_lost
     total = 0.0
-    for l in range(0, n_lost + 1):
-        p_in_term = p_mw_in(n, l, params.p_in)
-        for j in range(0, n - n_lost + 1):
-            total += (
-                exp(
-                    _log_pow(eta_d, n - n_lost - j)
-                    + _log_pow(1.0 - eta_d, n_lost + j - l)
-                    + _log_comb(n - l, n_lost - l)
-                    + _log_comb(n - n_lost, j)
-                    + _log_pow(p_d, j)
-                    + _log_pow(1.0 - p_d, m - n + l)
-                    + _log_comb(m - n + l + j, j)
-                )
-                * p_in_term
+    for c in range(0, n + 1):
+        lc = _log_binom(c, n, params.p_in)
+        for r in range(0, min(c, clicks) + 1):
+            total += exp(
+                lc
+                + _log_binom(r, c, params.eta_d)
+                + _log_binom(clicks - r, m - c, params.p_dark)
             )
     return total
 

@@ -41,19 +41,16 @@ def _check_a_prime(a_prime: float) -> None:
         raise InvalidConfigurationError(f"a_prime must be positive and finite, got {a_prime}")
 
 
-def t_classical(m: int, n: int, a_prime: float = A_PRIME_TIANHE2) -> float:
-    """Brute-force time A' n 2^n C(m, n) to compute and sample one n-photon event."""
-    return t_classical_lossy(m, n, LossConfig(0, 0), a_prime)
-
-
 def t_classical_lossy(
     m: int, n: int, loss: LossConfig, a_prime: float = A_PRIME_TIANHE2
 ) -> float:
     """Classical time for a lossy event with n photons propagated through U.
 
-    Input losses multiply the cost by the C(n + l_in, l_in) injected subsets;
-    output losses enlarge the per-pattern enumeration by the
-    C(m - n_det, l_out) supersets of each detected n_det = n - l_out pattern.
+    Without loss this is the brute-force time A' n 2^n C(m, n) to compute
+    and sample one n-photon event. Input losses multiply the cost by the
+    C(n + l_in, l_in) injected subsets; output losses enlarge the per-pattern
+    enumeration by the C(m - n_det, l_out) supersets of each detected
+    n_det = n - l_out pattern.
     """
     _check_a_prime(a_prime)
     n_det = n - loss.n_lost_out
@@ -77,7 +74,7 @@ def t_classical_lossy_either(m: int, n_triggered: int, n_lost: int, a_prime: flo
     unknown location, averaged uniformly over the loss splits.
 
     A split with l_in input losses propagates n_triggered - l_in photons;
-    n_lost = 0 is the lossless cost t_classical.
+    n_lost = 0 is the lossless cost.
     """
     total = 0.0
     for l_in in range(0, n_lost + 1):

@@ -16,7 +16,6 @@ from scattershot.errors import (
     OracleScaleExceededError,
 )
 from scattershot.permanent import (
-    CHUNK_BYTES,
     GLYNN_MAX_N,
     NAIVE_MAX_N,
     SEGMENT_BYTES,
@@ -25,7 +24,6 @@ from scattershot.permanent import (
     permanent_glynn,
     permanent_glynn_parallel,
     permanent_naive,
-    permanents_batch,
 )
 
 
@@ -146,23 +144,6 @@ def test_transpose_invariance():
         assert np.isclose(permanent_glynn(a.T), permanent_glynn(a), rtol=1e-12)
 
 
-def test_batch_matches_naive():
-    rng = np.random.default_rng(29)
-    mats = rng.random((12, 5, 5)) + 1j * rng.random((12, 5, 5))
-    batch = permanents_batch(mats)
-    for i in range(12):
-        assert np.isclose(batch[i], permanent_naive(mats[i]), rtol=1e-10)
-
-
-def test_batch_real_input_stays_real():
-    rng = np.random.default_rng(31)
-    mats = rng.random((5, 4, 4))
-    batch = permanents_batch(mats)
-    assert batch.dtype == np.float64
-    for i in range(5):
-        assert np.isclose(batch[i], permanent_naive(mats[i].astype(complex)).real, rtol=1e-10)
-
-
 def test_fit_recovers_reference_constants():
     a, b = 4.47e-8, 1.05
     pts = [(n, a * n * 2 ** (b * n)) for n in range(10, 21)]
@@ -192,11 +173,10 @@ def test_timing_model_validates():
 ENTRIES = hst.floats(-1.0, 1.0, allow_subnormal=False)
 
 
-def _matrices(k_max=1):
-    """(k, n, n) stacks of entries in [-1, 1], n <= NAIVE_MAX_N, k <= k_max."""
-    sizes = hst.tuples(hst.integers(1, k_max), hst.integers(1, NAIVE_MAX_N))
-    shapes = sizes.map(lambda kn: (kn[0], kn[1], kn[1]))
-    return shapes.flatmap(lambda shape: arrays(np.float64, shape, elements=ENTRIES))
+def _matrices():
+    """(n, n) matrices of entries in [-1, 1], n <= NAIVE_MAX_N."""
+    sizes = hst.integers(1, NAIVE_MAX_N)
+    return sizes.flatmap(lambda n: arrays(np.float64, (n, n), elements=ENTRIES))
 
 
 def _close_to_naive(value, a):
@@ -214,49 +194,31 @@ def _close_to_naive(value, a):
 @given(re=_matrices(), data=hst.data())
 def test_glynn_matches_naive_property(re, data):
     im = data.draw(arrays(np.float64, re.shape, elements=ENTRIES))
-    for a in (re[0], re[0] + 1j * im[0]):
+    for a in (re, re + 1j * im):
         assert _close_to_naive(permanent_glynn(a), a)
+    real = permanent._glynn(re, 1)
+    assert isinstance(real, np.float64)
+    assert _close_to_naive(real, re)
 
 
-@settings(max_examples=100, deadline=None)
-@given(re=_matrices(k_max=4), data=hst.data())
-def test_batch_matches_naive_property(re, data):
-    im = data.draw(arrays(np.float64, re.shape, elements=ENTRIES))
-    real = permanents_batch(re)
-    assert real.dtype == np.float64
-    pers = permanents_batch(re + 1j * im)
-    for i in range(re.shape[0]):
-        assert _close_to_naive(real[i], re[i])
-        assert _close_to_naive(pers[i], re[i] + 1j * im[i])
+def test_glynn_temporaries_within_budget():
+    # n=18: the whole table would take 40 MB
+    a = random_complex(np.random.default_rng(37), 18)
+    expect = permanent_glynn(a)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = permanent_glynn(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out == expect
+    assert SEGMENT_BYTES // 2 < peak - before <= SEGMENT_BYTES
 
 
-def test_batch_temporaries_within_budget():
-    rng = np.random.default_rng(37)
-    for k, n, budget in ((300, 10, CHUNK_BYTES),  # several chunks at n=10
-                         (1, 18, SEGMENT_BYTES)):  # one matrix, whole table 40 MB
-        mats = rng.random((k, n, n)) + 1j * rng.random((k, n, n))
-        expect = permanents_batch(mats)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            out = permanents_batch(mats)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert np.array_equal(out, expect)
-        assert budget // 2 < peak - before - out.nbytes <= budget
-
-
-@pytest.mark.parametrize("n", [17, 18])
-def test_one_matrix_stack_matches_single_call_bitwise(n):
-    rng = np.random.default_rng(41 + n)
-    a = random_complex(rng, n)
-    assert permanents_batch(a[None])[0] == permanent_glynn(a)
-
-
-def test_batch_rejects_stacks_above_glynn_cap():
+def test_glynn_rejects_matrices_above_cap():
     with pytest.raises(InvalidDimensionError):
-        permanents_batch(np.zeros((1, GLYNN_MAX_N + 1, GLYNN_MAX_N + 1)))
+        permanent_glynn(np.zeros((GLYNN_MAX_N + 1, GLYNN_MAX_N + 1)))
 
 
 def test_pool_width_is_bounded_by_cpu_count(monkeypatch):

@@ -4,6 +4,7 @@ import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from scattershot import sources
+from scattershot.cli import main
 from scattershot.errors import InvalidConfigurationError
 from scattershot.sources import (
     MwParams,
@@ -18,7 +20,6 @@ from scattershot.sources import (
     SpdcParams,
     monte_carlo_mw,
     monte_carlo_spdc,
-    p_fake_in,
     p_mw_in,
     p_mw_lossy,
     p_mw_lossy_dark,
@@ -93,30 +94,6 @@ def exact_spdc_classes(m, n, params, max_lost=2):
     return out
 
 
-def fake_generation_sum(m, n, params):
-    """p_sbs_fake as an explicit sum over the generation counts (s singles,
-    t doubles) weighted by p_gen2, with binomial heralding per pair type.
-
-    Keeps the closed form's detection factor, so it checks the heralding
-    algebra of p_sbs_fake without its known bias against the process.
-    """
-    g, eta_t, p_in, eta_d = params.g, params.eta_t, params.p_in, params.eta_d
-    eta_t2 = params.eta_t2
-    total = 0.0
-    for s in range(0, m + 1):
-        for t in range(1, m - s + 1):
-            pg = p_gen2(m, s, t, g)
-            for n1 in range(max(n - t, 0), min(s, n - 1) + 1):
-                total += (
-                    pg
-                    * comb(s, n1) * eta_t**n1 * (1 - eta_t) ** (s - n1)
-                    * comb(t, n - n1) * eta_t2 ** (n - n1) * (1 - eta_t2) ** (t - n + n1)
-                    * p_fake_in(n, n1, p_in)
-                    * eta_d**n * (1 - eta_d) ** (n - n1) * comb(2 * n - n1, n)
-                )
-    return total
-
-
 def exact_mw_apparent(m, n, params):
     """Exact apparent-loss-class probabilities of the microwave process."""
     out = {}
@@ -182,41 +159,6 @@ def test_p_sbs_monte_carlo_agreement():
     assert mc.success.sigmas_from(p_sbs(10, 2, SPDC_REF)) < 3.0
 
 
-def test_p_fake_in_nothing_injected():
-    assert p_fake_in(3, 1, 0.0) == 0.0
-    with pytest.raises(InvalidConfigurationError):
-        p_fake_in(3, 3, 0.5)
-
-
-def _fake_injection_oracle(n, n1, p_in):
-    """Per-photon Bernoulli enumeration of fake injections carrying >= n photons."""
-    total = 0.0
-    for z in range(0, n1 + 1):
-        pz = comb(n1, z) * p_in**z * (1 - p_in) ** (n1 - z)
-        pairs = n - n1
-        for x in range(0, pairs + 1):
-            for y in range(0, pairs - x + 1):
-                ways = math.factorial(pairs) // (
-                    math.factorial(x) * math.factorial(y) * math.factorial(pairs - x - y)
-                )
-                pxy = (
-                    ways
-                    * p_in ** (2 * x)
-                    * (2 * p_in * (1 - p_in)) ** y
-                    * (1 - p_in) ** (2 * (pairs - x - y))
-                )
-                if x >= 1 and 2 * x + y + z >= n:
-                    total += pz * pxy
-    return total
-
-
-def test_p_fake_in_exhaustive_enumeration():
-    for (n, n1, p_in) in ((3, 1, 1.0), (3, 1, 0.7), (2, 0, 0.7), (4, 2, 0.4)):
-        assert p_fake_in(n, n1, p_in) == pytest.approx(
-            _fake_injection_oracle(n, n1, p_in), rel=1e-12
-        )
-
-
 def test_p_sbs_fake_vanishes_faster_than_success():
     m, n = 8, 2
     ratios = []
@@ -238,15 +180,39 @@ def test_success_to_fake_ratio_decreases_with_modes():
         prev = ratio
 
 
-def test_p_sbs_fake_known_bias_against_exact_process():
-    # the closed form fixes the detection combinatorics at the maximal 2n - n1
-    # injected photons; at the reference parameters this overshoots the exact
-    # process probability by 4.9% at n=2 and 20.4% at n=3 (alike for m = 6, 10, 16)
-    for n, rel in ((2, 0.08), (3, 0.25)):
-        exact = exact_spdc_classes(6, n, SPDC_REF)["fake"]
-        formula = p_sbs_fake(6, n, SPDC_REF)
-        assert formula == pytest.approx(exact, rel=rel)
-        assert formula != pytest.approx(exact, rel=1e-6)
+FAKE_MN = ((6, 1), (6, 2), (6, 3), (7, 4), (5, 5), (10, 2), (10, 3))
+
+
+@pytest.mark.parametrize(
+    "params,mns",
+    [
+        (SPDC_REF, FAKE_MN),
+        (replace(SPDC_REF, eta_d=1.0), FAKE_MN),
+        (replace(SPDC_REF, g=1e-4), FAKE_MN),
+        (replace(SPDC_REF, eta_d=1.0), ((6, 1), (3, 1))),  # no fake can be detected
+    ],
+    ids=["reference", "eta_d=1", "g=1e-4", "n=1,eta_d=1"],
+)
+def test_p_sbs_fake_matches_exact_process(params, mns):
+    for m, n in mns:
+        exact = exact_spdc_classes(m, n, params)["fake"]
+        formula = p_sbs_fake(m, n, params)
+        assert formula >= 0.0
+        if exact == 0.0 or (n == 1 and params.eta_d == 1.0):
+            assert formula == 0.0 == exact, (m, n)
+        else:
+            assert math.isclose(formula, exact, rel_tol=1e-12, abs_tol=0.0), (m, n)
+
+
+def test_sources_cli_fake_row_matches_exact_process(capsys):
+    # the shipped config's eta_D schedule starts at 0.6 at m = 10: SPDC_REF
+    config = Path(__file__).resolve().parents[1] / "configs" / "spdc.json"
+    assert main(["sources", "--config", str(config), "--m", "10", "--n", "3",
+                 "--trials", "20000", "--seed", "1"]) == 0
+    rows = {r[0]: r for r in (ln.split(",") for ln in capsys.readouterr().out.splitlines()
+                              if not ln.startswith("#"))}
+    exact = exact_spdc_classes(10, 3, SPDC_REF)["fake"]
+    assert math.isclose(float(rows["fake"][1]), exact, rel_tol=1e-12, abs_tol=0.0)
 
 
 def test_p_sbs_fake_monte_carlo_agreement():
@@ -310,17 +276,18 @@ def test_p_sbs_lossy_monte_carlo_agreement():
     assert mc.lossy[1].sigmas_from(p_sbs_lossy(10, 3, 1, SPDC_REF)) < 3.0
 
 
-# values of the former (q, t)-loop closed forms at the reference parameters
+# values of the former (q, t)-loop closed forms at the reference parameters;
+# `fake` as the exact thinning sum gives it (within 7e-14 of exact_spdc_classes)
 GOLDEN_SPDC = {
     (60, 7): {
         "success": 1.8568270341663737e-08,
-        "fake": 3.492970279986042e-08,
+        "fake": 1.6589411339804296e-08,
         "lossy1": 1.7872629791360357e-07,
         "lossy2": 7.372736004131874e-07,
     },
     (120, 10): {
         "success": 3.70159218006046e-10,
-        "fake": 2.559487063691411e-09,
+        "fake": 7.993365352190475e-10,
         "lossy1": 5.0898799369258945e-09,
         "lossy2": 3.149481204424279e-08,
     },
@@ -462,9 +429,11 @@ def test_p_mw_lossy_dark_reduces_without_darks():
 
 
 def test_p_mw_lossy_dark_manual_expansion_n_eq_m():
-    # n = m = 2, n_lost = 0: p_in^2 (eta_d + (1 - eta_d) p_dark)^2
+    # n = m = 2, n_lost = 0: dark counts fire only in modes left empty, so two
+    # clicks come from 2, 1 or 0 created photons with 0, 1 or 2 dark counts
     val = p_mw_lossy_dark(2, 2, 0, MW_REF)
-    manual = MW_REF.p_in**2 * (MW_REF.eta_d + (1 - MW_REF.eta_d) * MW_REF.p_dark) ** 2
+    p, eta, dark = MW_REF.p_in, MW_REF.eta_d, MW_REF.p_dark
+    manual = (p * eta) ** 2 + 2 * p * (1 - p) * eta * dark + ((1 - p) * dark) ** 2
     assert val == pytest.approx(manual, rel=1e-12)
 
 
@@ -497,22 +466,16 @@ def test_mw_monte_carlo_rejects_more_photons_than_modes():
         monte_carlo_mw(2, 3, MW_REF, 20_000, 1)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the dark-count closed form is approximate: it deviates "
-    "from the Bernoulli-process oracle by hundreds of sigma at 1e7 "
-    "trials at the reference parameters (exact only at p_dark=0)",
-)
 def test_p_mw_lossy_dark_monte_carlo_agreement():
     mc = monte_carlo_mw(16, 3, MW_REF, 10_000_000, 9)
     assert mc[1].sigmas_from(p_mw_lossy_dark(16, 3, 1, MW_REF)) < 3.0
 
 
-def test_p_mw_lossy_dark_within_process_envelope():
-    # regression guard on the size of the known approximation gap
-    exact = exact_mw_apparent(16, 3, MW_REF)[1]
-    formula = p_mw_lossy_dark(16, 3, 1, MW_REF)
-    assert 0.8 * exact < formula < 1.4 * exact
+def test_p_mw_lossy_dark_matches_exact_process():
+    for m, n in ((16, 3), (30, 5)):
+        exact = exact_mw_apparent(m, n, MW_REF)
+        for k in range(n + 1):
+            assert math.isclose(p_mw_lossy_dark(m, n, k, MW_REF), exact[k], rel_tol=1e-12), (m, k)
 
 
 # ------------------------------------------------------------- properties
@@ -575,9 +538,9 @@ def test_p_sbs_and_lossy_match_process_oracle(params, mn):
 
 @settings(max_examples=150, deadline=None)
 @given(params=spdc_params, mn=small_mn)
-def test_p_sbs_fake_matches_generation_sum(params, mn):
+def test_p_sbs_fake_matches_process_oracle(params, mn):
     m, n = mn
-    assert _close(p_sbs_fake(m, n, params), fake_generation_sum(m, n, params))
+    assert _close(p_sbs_fake(m, n, params), exact_spdc_classes(m, n, params)["fake"])
 
 
 def test_p_sbs_monotone_in_efficiencies():

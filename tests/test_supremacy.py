@@ -18,7 +18,6 @@ from scattershot.supremacy import (
     supremacy_sweep_mw,
     supremacy_sweep_qd,
     supremacy_sweep_spdc,
-    t_classical,
     t_classical_lossy,
     t_classical_lossy_either,
 )
@@ -29,33 +28,37 @@ QD_REF = QdParams(eta=0.35, eta_dm=0.7, p_in=0.7, eta_d=0.6)
 
 
 def test_t_classical_arithmetic():
-    assert t_classical(10, 3, a_prime=1.0) == pytest.approx(3 * 8 * 120, rel=1e-12)
-    assert t_classical(7, 1, a_prime=2.5e-9) == pytest.approx(2.5e-9 * 2 * 7, rel=1e-12)
+    lossless = LossConfig()
+    assert t_classical_lossy(10, 3, lossless, a_prime=1.0) == pytest.approx(
+        3 * 8 * 120, rel=1e-12
+    )
+    assert t_classical_lossy(7, 1, lossless, a_prime=2.5e-9) == pytest.approx(
+        2.5e-9 * 2 * 7, rel=1e-12
+    )
 
 
 def test_t_classical_reference_regimes():
     # the original 20-photon/400-mode regime dwarfs the 8-photon/80-mode one
-    assert t_classical(400, 20) / t_classical(80, 8) > 1e9
+    lossless = LossConfig()
+    assert t_classical_lossy(400, 20, lossless) / t_classical_lossy(80, 8, lossless) > 1e9
 
 
 def test_t_classical_monotone():
+    lossless = LossConfig()
     for m in range(5, 30):
-        assert t_classical(m + 1, 3) > t_classical(m, 3)
+        assert t_classical_lossy(m + 1, 3, lossless) > t_classical_lossy(m, 3, lossless)
     for n in range(1, 10):
-        assert t_classical(30, n + 1) > t_classical(30, n)
+        assert t_classical_lossy(30, n + 1, lossless) > t_classical_lossy(30, n, lossless)
 
 
 def test_t_classical_overflow_sentinel():
-    assert t_classical(10_000, 5_000) == inf
+    assert t_classical_lossy(10_000, 5_000, LossConfig()) == inf
 
 
 def test_t_classical_lossy_reductions():
-    assert t_classical_lossy(12, 4, LossConfig(0, 0)) == pytest.approx(
-        t_classical(12, 4), rel=1e-12
-    )
-    assert t_classical_lossy(12, 4, LossConfig(1, 0)) == pytest.approx(
-        5 * t_classical(12, 4), rel=1e-12
-    )
+    lossless = A_PRIME_TIANHE2 * 4 * 2**4 * comb(12, 4)
+    assert t_classical_lossy(12, 4, LossConfig(0, 0)) == pytest.approx(lossless, rel=1e-12)
+    assert t_classical_lossy(12, 4, LossConfig(1, 0)) == pytest.approx(5 * lossless, rel=1e-12)
 
 
 def test_t_classical_lossy_output_multiplier():
@@ -102,7 +105,7 @@ def test_eta_schedule():
 
 def test_degenerate_sweep_ratio_equals_classical_time():
     # event probability forced to 1 at rate 1 Hz makes t_q exactly one second
-    tc = t_classical(12, 3)
+    tc = t_classical_lossy(12, 3, LossConfig())
     points = _sweep([12], A_PRIME_TIANHE2, lambda m: ("n=3", 1.0, [(3, [1.0])]))
     assert [p.event_class for p in points] == [EXACT, GENERALIZED]
     for p in points:
@@ -145,7 +148,8 @@ def test_every_platform_emits_one_class_order():
             assert order == [EXACT] + lossy[platform] + [GENERALIZED], platform
 
 
-# (t_c, t_q, ratio) reprs at m=30, per class, as the per-platform loops gave them
+# (t_c, t_q, ratio) reprs at m=30, per class, as the per-platform loops gave them;
+# the microwave lossy classes as the exact process sum gives them
 PINNED = {
     "spdc": {
         "exact": ("1.9863868496809383e-09", "4.1458632705510185e-05", "4.791250265754499e-05"),
@@ -162,16 +166,16 @@ PINNED = {
     },
     "mw": {
         "exact": ("2.736115200000012e-07", "9.06858988968124e-05", "0.0030171341225975166"),
-        "lossy1": ("7.366464000000052e-07", "4.176102588487641e-05", "0.017639566662723646"),
-        "generalized": ("5.90649717622113e-07", "2.859361346037572e-05",
-                        "0.020656700785321166"),
+        "lossy1": ("7.366464000000052e-07", "5.8726872809478256e-05", "0.012543599969809967"),
+        "generalized": ("5.546499736331461e-07", "3.56442035664484e-05",
+                        "0.015560734092407486"),
     },
     # p_dark = 0: the dark-free microwave lossy class
     "mw-no-dark": {
         "exact": ("2.736115200000012e-07", "9.06858988968124e-05", "0.0030171341225975166"),
-        "lossy1": ("7.366464000000052e-07", "3.088222502972526e-05", "0.0238534107983138"),
-        "generalized": ("6.190206038709721e-07", "2.3037143671367643e-05",
-                        "0.02687054492091132"),
+        "lossy1": ("7.366464000000052e-07", "3.0882225029725255e-05", "0.023853410798313802"),
+        "generalized": ("6.190206038709721e-07", "2.303714367136764e-05",
+                        "0.026870544920911323"),
     },
 }
 

@@ -196,9 +196,27 @@ def test_glynn_matches_naive_property(re, data):
     im = data.draw(arrays(np.float64, re.shape, elements=ENTRIES))
     for a in (re, re + 1j * im):
         assert _close_to_naive(permanent_glynn(a), a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(re=_matrices(), data=hst.data())
+def test_glynn_drivers_match_naive_property(re, data):
+    # the driver keeps real input real and complex input complex
+    im = data.draw(arrays(np.float64, re.shape, elements=ENTRIES))
     real = permanent._glynn(re, 1)
     assert isinstance(real, np.float64)
     assert _close_to_naive(real, re)
+    cplx = permanent._glynn(re + 1j * im, 1)
+    assert isinstance(cplx, np.complex128)
+    assert _close_to_naive(cplx, re + 1j * im)
+
+
+def test_glynn_real_input_stays_real():
+    rng = np.random.default_rng(31)
+    for a in rng.random((5, 4, 4)):
+        real = permanent._glynn(a, 1)
+        assert isinstance(real, np.float64)
+        assert np.isclose(real, permanent_naive(a).real, rtol=1e-10)
 
 
 def test_glynn_temporaries_within_budget():

@@ -15,7 +15,7 @@ from .distribution import (
     sample_events,
     total_variation_distance,
 )
-from .linalg import build_submatrix, haar_random_unitary, matrix_from_json, matrix_to_json
+from .linalg import build_submatrix, haar_random_unitary, matrix_from_json
 from .permanent import (
     TimingModel,
     fit_timing_model,
@@ -49,7 +49,6 @@ from .supremacy import (
 from .validation import (
     ValidationResult,
     fit_sample_scaling,
-    likelihood_trajectory,
     min_samples_to_validate,
 )
 

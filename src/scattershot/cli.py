@@ -552,15 +552,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"scattershot {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def threads(text: str) -> int:
-        # a non-integer is argparse's own error; argparse lets UsageError through to main
-        value = int(text)
-        if value < 1:
-            raise UsageError(f"--threads must be >= 1, got {value}")
-        return value
+    def at_least(flag: str, low: int):
+        def parse(text: str) -> int:
+            # a non-integer is argparse's own error; argparse lets UsageError through to main
+            value = int(text)
+            if value < low:
+                raise UsageError(f"{flag} must be >= {low}, got {value}")
+            return value
+        parse.__name__ = flag.lstrip("-")  # argparse names the flag by it in its own errors
+        return parse
+
+    seed = at_least("--seed", 0)
 
     def add_threads(q):
-        q.add_argument("--threads", type=threads, default=os.cpu_count() or 1,
+        q.add_argument("--threads", type=at_least("--threads", 1), default=os.cpu_count() or 1,
                        help="worker count for parallel chunks (default: all cores); "
                             "never changes results")
 
@@ -574,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_dist_args(q):
         q.add_argument("--unitary", help="unitary JSON file; otherwise Haar from --m/--seed")
         q.add_argument("--m", type=int, help="modes for a Haar-random unitary")
-        q.add_argument("--seed", type=int, default=0)
+        q.add_argument("--seed", type=seed, default=0)
         q.add_argument("--input", required=True, help="input state, e.g. 1:1:1:0")
         q.add_argument("--family", choices=(st.COLLISION_FREE, st.FULL_FOCK),
                        default=st.COLLISION_FREE)
@@ -612,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ensemble", type=int, default=50)
     p.add_argument("--trials", type=int, default=500)
     p.add_argument("--confidence", type=float, default=0.95)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--max-samples", type=int, default=2000)
     p.add_argument("--out", help="CSV path (stdout if omitted)")
     p.add_argument("--detail", help="optional per-unitary CSV path")
@@ -626,7 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-lost", type=int, default=1,
                    help="microwave: list lossy0..N-LOST; SPDC always lists lossy1..n-1")
     p.add_argument("--trials", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--out", help="CSV path (stdout if omitted)")
     p.set_defaults(func=cmd_sources)
 

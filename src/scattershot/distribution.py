@@ -25,10 +25,11 @@ The permanents come from one memoized Laplace recursion, not one Glynn sum
 per pattern. Expanding along the injected modes in order, level k holds the
 permanent of every k-photon output row set against a length-k prefix of an
 injected tuple, each a k-term sum over level k - 1, so patterns that differ by
-one photon share their minors. Its index (`states.expansion_index`) depends
-only on (m, n_det, family); a depth-first walk of the tuples' prefix tree
-keeps one vector per level. The same pass serves lossless and lossy tables,
-bunched heralded states and full-Fock outputs.
+one photon share their minors. Its index (`states.expansion_index`, which
+`states.enumerate_states` returns with the basis) depends only on
+(m, n_det, family); a depth-first walk of the tuples' prefix tree keeps one
+vector per level. The same pass serves lossless and lossy tables, bunched
+heralded states and full-Fock outputs.
 """
 from __future__ import annotations
 
@@ -41,6 +42,7 @@ import numpy as np
 
 from . import states as st
 from .errors import (
+    InstanceTooLargeError,
     InvalidComparisonError,
     InvalidConfigurationError,
     InvalidDistributionError,
@@ -54,6 +56,9 @@ DISTINGUISHABLE = "distinguishable"
 NORMALIZATION_TOL = 1e-9
 # rows per chunk of an expansion level: its temporaries are a few such chunks
 EXPAND_ROWS = 1 << 14
+# most uniforms one sample or one validate unitary draws (8 bytes each): ten
+# times validate's defaults, 500 streams of 2000 events
+MAX_DRAWS = 10_000_000
 
 
 @dataclass
@@ -91,32 +96,6 @@ class OutputDistribution:
 
     def __len__(self) -> int:
         return self.probs.size
-
-    def indices_of(self, events) -> np.ndarray:
-        """Row of each occupation vector in `states`, located by its canonical rank.
-
-        An event outside the family, or a distribution whose row at that rank
-        holds another state (a file need not list states in canonical order),
-        raises InvalidConfigurationError.
-        """
-        ev = np.asarray(events, dtype=np.int64)
-        if ev.size == 0:
-            ev = ev.reshape(0, self.m)
-        if ev.ndim != 2 or ev.shape[1] != self.m or ev.min(initial=0) < 0:
-            raise InvalidConfigurationError(f"events must be non-negative rows of length {self.m}")
-        bad = ev.sum(axis=1) != self.n_detected
-        if np.any(bad):
-            raise InvalidConfigurationError(
-                f"state {tuple(ev[bad][0].tolist())} has a photon number other than "
-                f"n={self.n_detected}"
-            )
-        modes = np.repeat(np.tile(np.arange(self.m), len(ev)), ev.ravel())
-        idx = st.state_ranks(modes.reshape(len(ev), self.n_detected), self.m, self.family)
-        ok = (idx >= 0) & (idx < len(self.states))
-        ok[ok] = np.all(self.states[idx[ok]] == ev[ok], axis=1)
-        if not np.all(ok):
-            raise InvalidConfigurationError(f"state {tuple(ev[~ok][0].tolist())} not in family")
-        return idx
 
 
 def bs_probability(u: np.ndarray, input_state, output_state) -> float:
@@ -178,16 +157,6 @@ def lossy_distribution(
     collision-free detected family.
     """
     return _distributions(u, heralded_state, loss, (model,))[0]
-
-
-def _basis(m: int, n: int, family: str) -> tuple:
-    """(occupations, expansion index) of the n-photon family, what a build reads.
-
-    The index's last level lists the family's mode rows in rank order, so the
-    occupation vectors come from it and the family is enumerated once.
-    """
-    index = st.expansion_index(m, n, family)
-    return st.occupations(index[-1][0], m), index
 
 
 def _targets(her: np.ndarray, n_det: int) -> list:
@@ -261,10 +230,10 @@ def _distributions(u, state, loss: LossConfig, models, family=st.COLLISION_FREE,
     uniformly over the injected subsets of the rest. Without output loss the
     result spans `family` and is renormalized if `renormalize`; with it, the
     result is always renormalized over the collision-free detected family.
-    The detected basis (occ, index) comes from `basis`, as `_basis` returns
-    it, or is built here when it is None. Each model walks the index on its
-    own column block, u or |u|^2, so each result equals a one-model call bit
-    for bit.
+    The detected basis (occ, index) comes from `basis`, as
+    `states.enumerate_states` returns it, or is built here when it is None.
+    Each model walks the index on its own column block, u or |u|^2, so each
+    result equals a one-model call bit for bit.
     """
     her = np.asarray(state)
     m = u.shape[0]
@@ -281,7 +250,7 @@ def _distributions(u, state, loss: LossConfig, models, family=st.COLLISION_FREE,
     n_det = n_her - loss.total
     if loss.n_lost_out:
         family, renormalize = st.COLLISION_FREE, True
-    occ, index = _basis(m, n_det, family) if basis is None else basis
+    occ, index = st.enumerate_states(m, n_det, family) if basis is None else basis
     targets = _targets(her, n_det)
     subsets = sum(weight for _, weight in targets)
     out_fact = None
@@ -344,6 +313,8 @@ def sample_event_indices(dist: OutputDistribution, seed, count: int) -> np.ndarr
     """Inverse-CDF draws of state indices; deterministic for a fixed seed."""
     if count < 0:
         raise InvalidConfigurationError(f"sample count must be >= 0, got {count}")
+    if count > MAX_DRAWS:
+        raise InstanceTooLargeError(f"{count} draws exceed the cap of {MAX_DRAWS}")
     if not dist.renormalized:
         raise InvalidDistributionError("sampling needs a renormalized distribution")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.Generator(

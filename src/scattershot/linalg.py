@@ -88,17 +88,6 @@ def occupation_factorial(state) -> float:
     return float(math.prod(math.factorial(int(k)) for k in np.asarray(state)))
 
 
-def matrix_to_json(a: np.ndarray) -> str:
-    """Serialize a square complex matrix as {"m": ..., "re": ..., "im": ...}."""
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidDimensionError(f"expected a square matrix, got shape {a.shape}")
-    return json.dumps(
-        {"m": a.shape[0], "re": a.real.tolist(), "im": a.imag.tolist()},
-        separators=(",", ":"),
-    )
-
-
 def matrix_from_json(text: str) -> np.ndarray:
     doc = json.loads(text)
     m = int(doc["m"])

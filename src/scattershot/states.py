@@ -2,19 +2,16 @@
 
 Both state families are listed in lexicographic order of the occupation
 vector, e.g. (0,0,2) < (0,1,1) < (1,1,0), so every distribution and golden
-file indexes states identically. The order is defined by the rank: a
-collision-free state with occupied modes c_0 < ... < c_{n-1} sits at
-sum_i C(m-1-c_i, n-i) (the combinatorial number system). A full-Fock state
-with modes c_0 <= ... <= c_{n-1} is ranked as the collision-free state
-c_i + i over m + n - 1 modes ("stars and bars"), which keeps the same
-lexicographic order. One table of binomials serves both directions:
-`state_ranks` ranks mode rows and `enumerate_states` unranks 0..K-1.
-
-Both ranks split at the lowest mode c_0: the rank of a k-photon row is
-C(d_0, k) plus the rank at k - 1 photons of the row without c_0, with
-d_0 = m-1-c_0 (m+k-2-c_0 for full Fock). So each family is a run of blocks by
-first mode (`first_mode_blocks`), and `expansion_index` builds every level
-1..n from the one below by slice copies.
+file indexes states identically. Written as mode rows c_0 <= ... <= c_{n-1}
+(strictly increasing for collision-free states), that order is a run of
+blocks by lowest mode c_0, from the highest c_0 down to 0. Within the block
+of c_0 the rows without c_0 are the (n-1)-photon rows whose modes all lie
+above c_0 (at or above it for full Fock), in their own order; those rows open
+the (n-1)-photon order, since their occupation vectors are zero up to c_0.
+`first_mode_blocks` states this split and is the one definition of the order:
+`expansion_index` builds every level 1..n from the one below by slice copies,
+and `enumerate_states` reads the family's occupation vectors off its last
+level, so a basis and its index are always built together.
 """
 from __future__ import annotations
 
@@ -42,23 +39,6 @@ def count_states(m: int, n: int, family: str) -> int:
     raise InvalidConfigurationError(f"unknown state family {family!r}")
 
 
-def _rank_table(m: int, n: int, family: str) -> tuple[np.ndarray, np.ndarray]:
-    """(table, shift) of the rank: table[i, v] = min(C(v, n-i), K) over the
-    m' = m (+ n - 1 for full Fock) shifted modes, and shift[i] the amount
-    added to the i-th mode of a row (i for full Fock, else 0).
-
-    Clipping at the family size K changes no valid rank (each of its terms is
-    below K) and keeps every entry within int64.
-    """
-    total = count_states(m, n, family)
-    shift = np.arange(n) if family == FULL_FOCK else np.zeros(n, dtype=np.int64)
-    width = m + n - 1 if family == FULL_FOCK else m
-    table = np.array(
-        [[min(comb(v, n - i), total) for v in range(width)] for i in range(n)], dtype=np.int64
-    )
-    return table, shift
-
-
 def _require_family(m: int, n: int, family: str) -> None:
     if n < 1 or m < 1:
         raise InvalidConfigurationError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
@@ -67,63 +47,30 @@ def _require_family(m: int, n: int, family: str) -> None:
 
 
 def enumerate_states(m: int, n: int, family: str):
-    """Return (occupations, modes) for every n-photon state of the family.
+    """Return (occupations, index), the basis a table over the family is built on.
 
-    occupations: (K, m) uint8 array of occupation vectors, lexicographic.
-    modes: (K, n) int32 array of the repeated mode index of each photon.
+    index is expansion_index(m, n, family), and occupations, the (K, m) uint8
+    occupation vectors in lexicographic order, come from the mode rows of its
+    last level. A family the index refuses (a level above DEFAULT_STATE_CAP
+    rows) is refused here too.
     """
-    _require_family(m, n, family)
-    total = count_states(m, n, family)
-    if total > DEFAULT_STATE_CAP:
-        raise InstanceTooLargeError(
-            f"{family} family for m={m}, n={n} has {total} states, cap is {DEFAULT_STATE_CAP}"
-        )
-    table, shift = _rank_table(m, n, family)
-    top = table.shape[1] - 1
-    rest = np.arange(total, dtype=np.int64)
-    modes = np.empty((total, n), dtype=np.int32)
-    for i in range(n):
-        # largest v with C(v, n-i) <= rest: the greedy digit of the number system
-        v = np.searchsorted(table[i], rest, side="right") - 1
-        rest -= table[i, v]
-        modes[:, i] = top - shift[i] - v
-    return occupations(modes.T, m), modes
-
-
-def occupations(modes, m: int) -> np.ndarray:
-    """(K, m) uint8 occupation vectors of K mode rows given photon by photon, (n, K)."""
+    index = expansion_index(m, n, family)
+    modes = index[-1][0]
     occ = np.zeros((modes.shape[1], m), dtype=np.uint8)
     rows = np.arange(modes.shape[1])
     for photon in modes:
         occ[rows, photon] += 1
-    return occ
-
-
-def state_ranks(modes, m: int, family: str) -> np.ndarray:
-    """Position of each mode row in the enumerate_states order of the family.
-
-    modes: (N, n) mode indices in [0, m), non-decreasing within each row. A
-    collision-free row with a repeated mode gets -1.
-    """
-    modes = np.asarray(modes)
-    n = modes.shape[1]
-    table, shift = _rank_table(m, n, family)
-    top = table.shape[1] - 1
-    ranks = np.zeros(modes.shape[0], dtype=np.int64)
-    for i in range(n):
-        ranks += table[i, top - shift[i] - modes[:, i]]
-    if family == COLLISION_FREE:
-        ranks[np.any(modes[:, 1:] == modes[:, :-1], axis=1)] = -1
-    return ranks
+    return occ, index
 
 
 def first_mode_blocks(m: int, k: int, family: str) -> list[tuple[int, int, int]]:
-    """(c0, start, count) of each run of k-photon rows by lowest mode c0, in rank order.
+    """(c0, start, count) of each run of k-photon rows by lowest mode c0, in order.
 
-    The rows whose lowest mode is c0 hold ranks [start, start + count), with
-    start = C(d0, k) and count = C(d0, k - 1). Row start + j without c0 is
-    row j of level k - 1: the remainders are exactly the rows whose modes lie
-    above c0 (at or above it for full Fock), and those rank first.
+    The rows whose lowest mode is c0 are rows [start, start + count), with
+    start = C(top - c0, k) and count = C(top - c0, k - 1) for top = m - 1
+    (m + k - 2 for full Fock): start counts the k-photon rows above c0, count
+    the (k - 1)-photon rows above c0 (at or above it for full Fock). Row
+    start + j without c0 is row j of level k - 1, as those rows come first.
     """
     count_states(m, k, family)  # refuses an unknown family
     top = m - 1 if family == COLLISION_FREE else m + k - 2
@@ -132,10 +79,10 @@ def first_mode_blocks(m: int, k: int, family: str) -> list[tuple[int, int, int]]
 
 
 def expansion_index(m: int, n: int, family: str) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(modes, parents) of every level k = 1..n of the family, rows in rank order.
+    """(modes, parents) of every level k = 1..n of the family, rows in canonical order.
 
     modes[t, r] is the mode of photon t of row r (non-decreasing in t), and
-    parents[t, r] the rank at level k - 1 of row r without photon t; both are
+    parents[t, r] the row at level k - 1 of row r without photon t; both are
     (k, K_k), modes of the smallest unsigned type that holds m - 1 and parents
     int32. Level k is copied block by block from level k - 1 (see
     first_mode_blocks). A family with a level of more than DEFAULT_STATE_CAP

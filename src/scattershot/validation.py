@@ -28,15 +28,15 @@ from . import states as st
 from .distribution import (
     DISTINGUISHABLE,
     INDISTINGUISHABLE,
+    MAX_DRAWS,
     LossConfig,
     OutputDistribution,
-    _basis,
     _cdf,
     _distributions,
-    _require_comparable,
 )
 from .errors import (
     DegenerateHypothesisError,
+    InstanceTooLargeError,
     InsufficientDataError,
     InvalidConfigurationError,
 )
@@ -45,18 +45,6 @@ from .sources import _pool_map
 
 # length of the first stream prefix read; each further block doubles it
 FIRST_PREFIX = 32
-
-
-def likelihood_trajectory(
-    p_bs: OutputDistribution, p_dist: OutputDistribution, events
-) -> np.ndarray:
-    """Running products V_k of per-event probability ratios, log-space inside.
-
-    events is a sequence of occupation vectors from the shared family.
-    """
-    _require_comparable(p_bs, p_dist)
-    idx = p_bs.indices_of(events)
-    return np.exp(np.cumsum(_log_ratios(p_bs, p_dist)[idx]))
 
 
 def _log_ratios(p_bs: OutputDistribution, p_dist: OutputDistribution) -> np.ndarray:
@@ -167,7 +155,11 @@ def min_samples_to_validate(
         raise InvalidConfigurationError("output losses leave no detected photons")
     if n + loss.n_lost_in > m:
         raise InvalidConfigurationError("heralded photons exceed mode count")
-    basis = _basis(m, n_det, st.COLLISION_FREE)
+    if trials * max_samples > MAX_DRAWS:
+        raise InstanceTooLargeError(
+            f"{trials} streams of {max_samples} events exceed the cap of {MAX_DRAWS} draws"
+        )
+    basis = st.enumerate_states(m, n_det, st.COLLISION_FREE)
 
     def single(child):
         u_ss, stream_ss = child.spawn(2)

@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+from helpers import matrix_json
 
 from scattershot import states as st
 from scattershot.cli import main
@@ -22,7 +23,7 @@ from scattershot.distribution import (
     lossy_distribution,
     total_variation_distance,
 )
-from scattershot.linalg import haar_random_unitary, matrix_to_json
+from scattershot.linalg import haar_random_unitary
 from scattershot.permanent import (
     fit_timing_model,
     measure_glynn_times,
@@ -300,7 +301,7 @@ def test_criterion_12_cli_determinism(tmp_path):
         "pump_rate": 8.0e7,
     }))
     matrix = tmp_path / "ones.json"
-    matrix.write_text(matrix_to_json(np.ones((8, 8), dtype=complex)))
+    matrix.write_text(matrix_json(np.ones((8, 8), dtype=complex)))
     runs = {
         "validate": ["validate", "--m", "10", "--n", "3", "--ensemble", "5",
                      "--trials", "200", "--seed", "4", "--max-samples", "200"],

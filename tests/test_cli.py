@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
+from helpers import matrix_json
 
 from scattershot import __version__, sources
 from scattershot import states as st
@@ -32,7 +33,7 @@ from scattershot.distribution import (
     lossy_distribution,
     sample_events,
 )
-from scattershot.linalg import haar_random_unitary, matrix_to_json
+from scattershot.linalg import haar_random_unitary
 from scattershot.supremacy import (
     constant_eta_schedule,
     linear_eta_schedule,
@@ -43,7 +44,7 @@ from scattershot.supremacy import (
 @pytest.fixture
 def ones_matrix(tmp_path):
     path = tmp_path / "ones.json"
-    path.write_text(matrix_to_json(np.ones((4, 4), dtype=complex)))
+    path.write_text(matrix_json(np.ones((4, 4), dtype=complex)))
     return str(path)
 
 
@@ -638,7 +639,7 @@ def test_distribution_bad_unitary_file_is_usage_error(tmp_path, capsys, case):
 
 def test_distribution_accepts_unitary_file(tmp_path):
     path = tmp_path / "u.json"
-    path.write_text(matrix_to_json(haar_random_unitary(4, 5)))
+    path.write_text(matrix_json(haar_random_unitary(4, 5)))
     out = tmp_path / "d.csv"
     assert main(["distribution", "--unitary", str(path), "--input", "1:1:0:0",
                  "--out", str(out)]) == 0
@@ -648,7 +649,7 @@ def test_distribution_accepts_unitary_file(tmp_path):
 def test_distribution_renormalizing_zero_mass_exits_1(tmp_path, capsys):
     # two photons in one mode of the identity never reach a collision-free state
     path = tmp_path / "eye.json"
-    path.write_text(matrix_to_json(np.eye(2, dtype=complex)))
+    path.write_text(matrix_json(np.eye(2, dtype=complex)))
     assert main(["distribution", "--unitary", str(path), "--input", "2:0",
                  "--renormalize"]) == 1
     captured = capsys.readouterr()
@@ -664,7 +665,7 @@ def test_oversized_expansion_level_exits_1_before_allocating(tmp_path, capsys, a
     # k = 12, 13 of their expansion do not
     if argv[0] == "distribution":
         path = tmp_path / "u.json"
-        path.write_text(matrix_to_json(haar_random_unitary(25, 3)))
+        path.write_text(matrix_json(haar_random_unitary(25, 3)))
         argv = argv + ["--unitary", str(path)]
     tracemalloc.start()
     try:
@@ -679,11 +680,31 @@ def test_oversized_expansion_level_exits_1_before_allocating(tmp_path, capsys, a
     assert peak < 2**20  # the refused 4.5M-state basis would take hundreds of MB
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "--m", "6", "--n", "2", "--ensemble", "2", "--trials", "50",
+     "--max-samples", "10000000000"],
+    ["sample", "--m", "4", "--seed", "1", "--input", "1:1:0:0", "--renormalize",
+     "--count", "100000000000"],
+])
+def test_oversized_draw_table_exits_1_before_allocating(capsys, argv):
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("instance-too-large: ") and "Traceback" not in captured.err
+    assert peak < 2**24  # the refused uniforms alone would take 800 GB or more
+
+
 def test_distribution_rejects_non_unitary_file(tmp_path, capsys):
     u = haar_random_unitary(4, 5)
     u[0, 0] += 1e-6
     path = tmp_path / "u.json"
-    path.write_text(matrix_to_json(u))
+    path.write_text(matrix_json(u))
     assert main(["distribution", "--unitary", str(path), "--input", "1:1:0:0"]) == 1
     assert "invalid-configuration" in capsys.readouterr().err
 
@@ -909,6 +930,15 @@ BAD_NUMERIC_FLAGS = {
        for v in ("0", "-3")},
     "validate-threads-0": (["validate", "--m", "6", "--n", "2", "--ensemble", "2",
                             "--trials", "50", "--threads", "0"], 2, "usage-error"),
+    **{f"{cmd}-negative-seed": (argv, 2, "usage-error") for cmd, argv in (
+        ("distribution", ["distribution", "--m", "4", "--seed", "-1", "--input", "1:1:0:0"]),
+        ("sample", ["sample", "--m", "4", "--seed", "-2", "--input", "1:1:0:0",
+                    "--renormalize", "--count", "5"]),
+        ("validate", ["validate", "--m", "6", "--n", "2", "--ensemble", "2", "--trials", "50",
+                      "--seed", "-1"]),
+        ("sources", ["sources", "--config", "SPDC", "--m", "6", "--n", "2", "--trials", "20000",
+                     "--seed", "-1"]),
+    )},
     "sources-qd-n-above-m": (["sources", "--config", "QD", "--m", "3", "--n", "5"],
                              1, "invalid-configuration"),
 }

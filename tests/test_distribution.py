@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
+from helpers import reference_enumeration
 
 from scattershot import distribution
 from scattershot import states as st
@@ -105,30 +106,9 @@ def test_collision_free_mass_complement():
 def test_identity_distinguishable_point_mass():
     u = np.eye(4, dtype=complex)
     d = full_distribution(u, [1, 1, 0, 0], model=DISTINGUISHABLE)
-    hit = d.indices_of([[1, 1, 0, 0]])[0]
+    (hit,) = np.flatnonzero(np.all(d.states == [1, 1, 0, 0], axis=1))
     assert d.probs[hit] == pytest.approx(1.0)
     assert d.raw_mass == pytest.approx(1.0)
-
-
-def test_index_of_locates_every_state_of_both_families():
-    u = haar_random_unitary(5, 4)
-    for family in (st.COLLISION_FREE, st.FULL_FOCK):
-        d = full_distribution(u, [1, 1, 1, 0, 0], family=family)
-        assert [int(d.indices_of([row])[0]) for row in d.states] == list(range(len(d)))
-        assert np.array_equal(d.indices_of(d.states), np.arange(len(d)))
-
-
-@pytest.mark.parametrize("case", ["bunched", "photon-number", "permuted-rows", "wrong-length"])
-def test_index_of_rejects_states_outside_the_listed_family(case):
-    d = full_distribution(haar_random_unitary(4, 1), [1, 1, 0, 0], renormalize=True)
-    state = {"bunched": [2, 0, 0, 0], "photon-number": [1, 1, 1, 0],
-             "permuted-rows": d.states[0], "wrong-length": [1, 1, 0]}[case]
-    if case == "permuted-rows":
-        perm = np.roll(np.arange(len(d)), 1)
-        d = OutputDistribution(d.m, d.n_detected, d.family, d.states[perm], d.probs[perm],
-                               d.raw_mass, d.renormalized)
-    with pytest.raises(InvalidConfigurationError):
-        d.indices_of([state])
 
 
 def test_lossless_lossy_equals_full():
@@ -154,7 +134,7 @@ def test_output_loss_matches_direct_marginalization_oracle():
     m, n = 8, 3
     u = haar_random_unitary(m, 41)
     inp = [1, 1, 1, 0, 0, 0, 0, 0]
-    occ, modes = st.enumerate_states(m, n, st.FULL_FOCK)
+    _, modes = reference_enumeration(m, n, st.FULL_FOCK)
     oracle = {}
     for row in modes:
         p = bs_probability(u, inp, np.bincount(row, minlength=m))
@@ -174,7 +154,7 @@ def _marginal_row_by_row(probs_n, modes_n, m, n_lost_out):
     """Reference output-loss binning: one dict lookup per (output, kept-photon subset)."""
     n = modes_n.shape[1]
     n_det = n - n_lost_out
-    det_occ, det_modes = st.enumerate_states(m, n_det, st.COLLISION_FREE)
+    det_occ, det_modes = reference_enumeration(m, n_det, st.COLLISION_FREE)
     index = {tuple(row.tolist()): i for i, row in enumerate(det_modes)}
     out = np.zeros(det_modes.shape[0], dtype=np.float64)
     weight = 1.0 / math.comb(n, n_lost_out)
@@ -196,7 +176,7 @@ def _lossy_oracle(u, heralded, loss, model):
     m = len(heralded)
     rule = bs_probability if model == INDISTINGUISHABLE else distinguishable_probability
     n = photon_number(heralded) - loss.n_lost_in
-    _, modes = st.enumerate_states(m, n, st.FULL_FOCK)
+    _, modes = reference_enumeration(m, n, st.FULL_FOCK)
     subsets = list(itertools.combinations(mode_indices(heralded).tolist(), n))
     total = 0.0
     for sub in subsets:
@@ -441,6 +421,28 @@ def test_sampling_uniform_frequencies():
     counts = events.sum(axis=0).astype(np.int64)
     se = np.sqrt(0.25 * 0.75 * 100_000)
     assert np.all(np.abs(counts - 25_000) < 5 * se)
+
+
+@pytest.mark.parametrize("build", ["full", "lossy-in", "lossy-out", "full-fock"])
+def test_each_build_enumerates_its_basis_once(monkeypatch, build):
+    calls = []
+    enumerate_states = st.enumerate_states
+
+    def counting(m, n, family):
+        calls.append((m, n, family))
+        return enumerate_states(m, n, family)
+
+    monkeypatch.setattr(st, "enumerate_states", counting)
+    u = haar_random_unitary(6, 8)
+    if build == "full":
+        full_distribution(u, [1, 1, 1, 0, 0, 0])
+    elif build == "full-fock":
+        full_distribution(u, [1, 1, 1, 0, 0, 0], family=st.FULL_FOCK)
+    else:
+        loss = LossConfig(1, 0) if build == "lossy-in" else LossConfig(0, 1)
+        lossy_distribution(u, [1, 1, 1, 0, 0, 0], loss, model=DISTINGUISHABLE)
+    family = st.FULL_FOCK if build == "full-fock" else st.COLLISION_FREE
+    assert calls == [(6, 3 if build.startswith("full") else 2, family)]
 
 
 def test_sampling_requires_renormalized():

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
+from helpers import matrix_json
 
 from scattershot.errors import InvalidConfigurationError, InvalidDimensionError
 from scattershot.linalg import (
     build_submatrix,
     haar_random_unitary,
     matrix_from_json,
-    matrix_to_json,
     mode_indices,
     occupation_factorial,
     unitarity_defect,
@@ -101,7 +101,7 @@ def test_mode_indices():
 
 def test_matrix_json_round_trip():
     u = haar_random_unitary(3, 55)
-    again = matrix_from_json(matrix_to_json(u))
+    again = matrix_from_json(matrix_json(u))
     assert np.array_equal(u, again)
 
 

@@ -1,10 +1,8 @@
-from itertools import combinations, combinations_with_replacement
 from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as hst
+from helpers import reference_enumeration, reference_rows
 
 from scattershot.errors import InstanceTooLargeError, InvalidConfigurationError
 from scattershot.states import (
@@ -18,21 +16,7 @@ from scattershot.states import (
     first_mode_blocks,
     format_states,
     state_from_string,
-    state_ranks,
 )
-
-
-def _reference_enumeration(m, n, family):
-    """The itertools generator the rank-based enumeration replaced."""
-    gen = combinations if family == COLLISION_FREE else combinations_with_replacement
-    total = count_states(m, n, family)
-    modes = np.fromiter(
-        (i for tup in gen(range(m), n) for i in tup), dtype=np.int32, count=total * n
-    ).reshape(total, n)
-    modes = modes[::-1].copy()
-    occ = np.zeros((total, m), dtype=np.uint8)
-    np.add.at(occ, (np.repeat(np.arange(total), n), modes.ravel()), 1)
-    return occ, modes
 
 
 def test_counts():
@@ -42,10 +26,10 @@ def test_counts():
 
 def test_enumeration_sizes_and_sums():
     for family in (COLLISION_FREE, FULL_FOCK):
-        occ, modes = enumerate_states(5, 3, family)
+        occ, index = enumerate_states(5, 3, family)
         assert occ.shape == (count_states(5, 3, family), 5)
         assert np.all(occ.sum(axis=1) == 3)
-        assert modes.shape == (occ.shape[0], 3)
+        assert len(index) == 3 and index[-1][0].shape == (3, occ.shape[0])
     occ, _ = enumerate_states(5, 3, COLLISION_FREE)
     assert occ.max() == 1
 
@@ -58,9 +42,9 @@ def test_lexicographic_occupation_order():
 
 
 def test_modes_match_occupations():
-    occ, modes = enumerate_states(5, 3, FULL_FOCK)
+    occ, index = enumerate_states(5, 3, FULL_FOCK)
     rebuilt = np.zeros_like(occ)
-    for i, row in enumerate(modes):
+    for i, row in enumerate(index[-1][0].T):
         for j in row:
             rebuilt[i, j] += 1
     assert np.array_equal(rebuilt, occ)
@@ -76,36 +60,16 @@ _GRID = (
 
 @pytest.mark.parametrize("m,n,family", _GRID)
 def test_enumeration_matches_itertools_reference(m, n, family):
-    got = enumerate_states(m, n, family)
-    want = _reference_enumeration(m, n, family)
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype
-        assert np.array_equal(g, w)
-
-
-@settings(max_examples=60, deadline=None)
-@given(m=hst.integers(1, 12), n=hst.integers(1, 6),
-       family=hst.sampled_from([COLLISION_FREE, FULL_FOCK]))
-def test_state_ranks_invert_enumeration_property(m, n, family):
-    if family == COLLISION_FREE and n > m:
-        n = m
-    _, modes = enumerate_states(m, n, family)
-    assert np.array_equal(state_ranks(modes, m, family), np.arange(modes.shape[0]))
-
-
-@pytest.mark.parametrize("m,k", [(1, 1), (5, 1), (5, 5), (6, 3), (12, 4), (20, 5), (30, 2)])
-def test_collision_free_ranks_follow_enumeration_order(m, k):
-    _, modes = enumerate_states(m, k, COLLISION_FREE)
-    assert np.array_equal(state_ranks(modes, m, COLLISION_FREE), np.arange(modes.shape[0]))
-
-
-def test_collision_free_ranks_mark_repeated_modes():
-    occ, modes = enumerate_states(6, 3, FULL_FOCK)
-    ranks = state_ranks(modes, 6, COLLISION_FREE)
-    bunched = occ.max(axis=1) > 1
-    assert np.all(ranks[bunched] == -1)
-    cf_occ, _ = enumerate_states(6, 3, COLLISION_FREE)
-    assert np.array_equal(cf_occ[ranks[~bunched]], occ[~bunched])
+    if max(count_states(m, k, family) for k in range(1, n + 1)) > DEFAULT_STATE_CAP:
+        # (70, 68): the family fits the cap, the middle levels of its expansion do not
+        with pytest.raises(InstanceTooLargeError):
+            enumerate_states(m, n, family)
+        return
+    occ, index = enumerate_states(m, n, family)
+    want_occ, want_modes = reference_enumeration(m, n, family)
+    assert occ.dtype == want_occ.dtype
+    assert np.array_equal(occ, want_occ)
+    assert np.array_equal(index[-1][0].T, want_modes)
 
 
 def test_cap_enforced():
@@ -126,7 +90,7 @@ def test_first_mode_blocks_tile_the_family(family, m, n):
         assert [start for _, start, _ in blocks] == ends[:-1]
         assert ends[-1] == count_states(m, k, family)
         assert all(count > 0 for _, _, count in blocks)
-        _, modes = enumerate_states(m, k, family)
+        _, modes = reference_enumeration(m, k, family)
         for c0, start, count in blocks:
             assert np.all(modes[start:start + count, 0] == c0)
 
@@ -137,11 +101,11 @@ def test_expansion_index_levels_and_parents(family, m, n):
     assert len(index) == n
     for k, (modes, parents) in enumerate(index, start=1):
         assert (modes.dtype, parents.dtype) == (np.uint8, np.int32)
-        assert np.array_equal(modes.T, enumerate_states(m, k, family)[1])
+        assert np.array_equal(modes.T, reference_enumeration(m, k, family)[1])
+        below = reference_rows(m, k - 1, family) if k > 1 else {(): 0}
         for t in range(k):
             rest = np.delete(modes.T, t, axis=1)
-            want = state_ranks(rest, m, family) if k > 1 else np.zeros(modes.shape[1])
-            assert np.array_equal(parents[t], want)
+            assert parents[t].tolist() == [below[tuple(row)] for row in rest.tolist()]
 
 
 def test_expansion_index_refuses_an_oversized_level():
@@ -150,9 +114,11 @@ def test_expansion_index_refuses_an_oversized_level():
     assert count_states(25, 12, COLLISION_FREE) > DEFAULT_STATE_CAP
     with pytest.raises(InstanceTooLargeError, match="level of 5200300 rows"):
         expansion_index(25, 14, COLLISION_FREE)
+    with pytest.raises(InstanceTooLargeError, match="level of 5200300 rows"):
+        enumerate_states(25, 14, COLLISION_FREE)
     with pytest.raises(InstanceTooLargeError):
         expansion_index(40, 10, COLLISION_FREE)
-    # full-Fock levels grow with k: the last one, which enumerate_states caps, is the largest
+    # full-Fock levels grow with k: the last one, the family itself, is the largest
     with pytest.raises(InstanceTooLargeError):
         expansion_index(30, 9, FULL_FOCK)
     with pytest.raises(InvalidConfigurationError):

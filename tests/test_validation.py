@@ -4,22 +4,21 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from scattershot import sources
+from scattershot import sources, validation
 from scattershot import states as st
 from scattershot.distribution import (
     DISTINGUISHABLE,
     INDISTINGUISHABLE,
+    MAX_DRAWS,
     LossConfig,
     OutputDistribution,
-    full_distribution,
     lossy_distribution,
     sample_event_indices,
-    sample_events,
 )
 from scattershot.errors import (
     DegenerateHypothesisError,
+    InstanceTooLargeError,
     InsufficientDataError,
-    InvalidComparisonError,
     InvalidConfigurationError,
 )
 from scattershot.linalg import haar_random_unitary
@@ -27,40 +26,16 @@ from scattershot.validation import (
     FIRST_PREFIX,
     _log_ratios,
     fit_sample_scaling,
-    likelihood_trajectory,
     min_samples_to_validate,
 )
 
 
-def test_trajectory_identical_hypotheses():
-    u = haar_random_unitary(6, 3)
-    d = full_distribution(u, [1, 1, 0, 0, 0, 0], renormalize=True)
-    events = sample_events(d, 4, 25)
-    v = likelihood_trajectory(d, d, events)
-    assert np.allclose(v, 1.0, atol=1e-12)
-
-
 def test_trajectory_single_event_arithmetic():
+    # the per-event log-ratio whose running sum validate tracks: V_1 = 0.5 / 0.25
     occ, _ = st.enumerate_states(3, 1, st.COLLISION_FREE)
     p = OutputDistribution(3, 1, st.COLLISION_FREE, occ, np.array([0.5, 0.3, 0.2]), 1.0, True)
     q = OutputDistribution(3, 1, st.COLLISION_FREE, occ, np.array([0.25, 0.55, 0.2]), 1.0, True)
-    v = likelihood_trajectory(p, q, [occ[0]])
-    assert v[0] == pytest.approx(2.0, rel=1e-12)
-
-
-def test_trajectory_median_grows():
-    u = haar_random_unitary(20, 15)
-    inp = [1, 1, 1] + [0] * 17
-    p = full_distribution(u, inp, renormalize=True)
-    q = full_distribution(u, inp, model=DISTINGUISHABLE, renormalize=True)
-    finals = []
-    mids = []
-    for seed in range(200):
-        events = sample_events(p, 1000 + seed, 40)
-        v = likelihood_trajectory(p, q, events)
-        mids.append(v[9])
-        finals.append(v[39])
-    assert np.median(finals) > np.median(mids) > 1.0
+    assert np.exp(_log_ratios(p, q)[0]) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_trajectory_degenerate_denominator():
@@ -68,38 +43,7 @@ def test_trajectory_degenerate_denominator():
     p = OutputDistribution(3, 1, st.COLLISION_FREE, occ, np.array([0.5, 0.5, 0.0]), 1.0, True)
     q = OutputDistribution(3, 1, st.COLLISION_FREE, occ, np.array([0.0, 0.5, 0.5]), 1.0, True)
     with pytest.raises(DegenerateHypothesisError):
-        likelihood_trajectory(p, q, [occ[0]])
-
-
-def _rolled(d):
-    """The same distribution with its rows out of canonical order."""
-    perm = np.roll(np.arange(len(d)), 1)
-    return OutputDistribution(d.m, d.n_detected, d.family, d.states[perm], d.probs[perm],
-                              d.raw_mass, d.renormalized)
-
-
-@pytest.mark.parametrize("case", ["bunched", "photon-number", "permuted-rows"])
-def test_trajectory_rejects_events_outside_the_family(case):
-    u = haar_random_unitary(5, 2)
-    p = full_distribution(u, [1, 1, 0, 0, 0], renormalize=True)
-    q = full_distribution(u, [1, 1, 0, 0, 0], model=DISTINGUISHABLE, renormalize=True)
-    events = list(sample_events(p, 3, 10))
-    if case == "bunched":
-        events.append([0, 2, 0, 0, 0])
-    elif case == "photon-number":
-        events.append([1, 1, 1, 0, 0])
-    else:
-        p, q = (_rolled(d) for d in (p, q))
-    with pytest.raises(InvalidConfigurationError):
-        likelihood_trajectory(p, q, events)
-
-
-def test_trajectory_rejects_alternative_with_other_state_order():
-    u = haar_random_unitary(5, 2)
-    p = full_distribution(u, [1, 1, 0, 0, 0], renormalize=True)
-    q = full_distribution(u, [1, 1, 0, 0, 0], model=DISTINGUISHABLE, renormalize=True)
-    with pytest.raises(InvalidComparisonError):
-        likelihood_trajectory(p, _rolled(q), sample_events(p, 3, 10))
+        _log_ratios(p, q)
 
 
 def test_min_samples_deterministic():
@@ -138,6 +82,21 @@ def test_validate_pool_width_is_bounded_by_cpu_count(monkeypatch):
     assert widths == [2]
 
 
+@pytest.mark.parametrize("ensemble,workers", [(2, 1), (5, 1), (5, 2)])
+def test_ensemble_enumerates_its_basis_once(monkeypatch, ensemble, workers):
+    calls = []
+    enumerate_states = st.enumerate_states
+
+    def counting(m, n, family):
+        calls.append((m, n, family))
+        return enumerate_states(m, n, family)
+
+    monkeypatch.setattr(st, "enumerate_states", counting)
+    min_samples_to_validate(10, 3, LossConfig(0, 1), ensemble=ensemble, trials=100, seed=5,
+                            max_samples=400, workers=workers)
+    assert calls == [(10, 2, st.COLLISION_FREE)]
+
+
 def test_min_samples_sane_range_smoke():
     r = min_samples_to_validate(12, 3, LossConfig(0, 0), ensemble=6, trials=200, seed=1,
                                 max_samples=300)
@@ -174,6 +133,16 @@ def test_min_samples_argument_validation():
     with pytest.raises(InsufficientDataError):
         min_samples_to_validate(10, 3, LossConfig(0, 0), ensemble=2, trials=200, seed=0,
                                 max_samples=2)
+
+
+def test_oversized_draw_table_is_refused_before_any_unitary(monkeypatch):
+    def no_unitary(*args):
+        raise AssertionError("a unitary was built")
+
+    monkeypatch.setattr(validation, "haar_random_unitary", no_unitary)
+    with pytest.raises(InstanceTooLargeError):
+        min_samples_to_validate(10, 3, LossConfig(0, 0), ensemble=2, trials=50,
+                                max_samples=MAX_DRAWS // 50 + 1)
 
 
 def _full_stream_minima(m, n, loss, ensemble, trials, seed, max_samples, confidence=0.95):

@@ -52,12 +52,18 @@ def _read_text(path: str, what: str) -> str:
         raise UsageError(f"cannot read {what} {path}: {exc}") from exc
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _write_text(path: str | None, text) -> None:
+    """Write text, a string or an iterable of strings written in turn, to path
+    or to stdout when path is None."""
+    parts = [text] if isinstance(text, str) else text
     if path is None:
-        sys.stdout.write(text)
+        for part in parts:
+            sys.stdout.write(part)
         return
     try:
-        Path(path).write_text(text)
+        with open(path, "w") as fh:
+            for part in parts:
+                fh.write(part)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc}") from exc
 
@@ -411,10 +417,18 @@ def cmd_sample(args) -> int:
         raise InvalidConfigurationError("sampling needs --renormalize or a lossy distribution")
     sample_ss = np.random.SeedSequence(args.seed).spawn(2)[1]
     rng = np.random.Generator(np.random.PCG64(sample_ss))
-    events = dstr.sample_events(dist, rng, args.count)
+    idx = dstr.sample_event_indices(dist, rng, args.count)
     config = {**ucfg, "input": args.input, "model": args.model, "count": args.count,
               "seed": args.seed, "loss_in": args.loss_in, "loss_out": args.loss_out}
-    _write_text(args.out, _table("sample", config, "event", st.format_states(events)))
+
+    def parts():
+        yield _table("sample", config, "event", [])
+        # events are gathered and formatted FORMAT_CHUNK at a time, so no (count, m)
+        # array and no count-long list of strings is held
+        for lo in range(0, idx.size, st.FORMAT_CHUNK):
+            yield "\n".join(st.format_states(dist.states[idx[lo:lo + st.FORMAT_CHUNK]])) + "\n"
+
+    _write_text(args.out, parts())
     return 0
 
 

@@ -59,6 +59,8 @@ EXPAND_ROWS = 1 << 14
 # most uniforms one sample or one validate unitary draws (8 bytes each): ten
 # times validate's defaults, 500 streams of 2000 events
 MAX_DRAWS = 10_000_000
+# keys sorted together by one inverse-CDF lookup chunk
+LOOKUP_CHUNK = 1 << 14
 
 
 @dataclass
@@ -309,6 +311,26 @@ def _cdf(probs: np.ndarray) -> np.ndarray:
     return cdf
 
 
+def _lookup(cdf: np.ndarray, uniforms: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write np.searchsorted(cdf, uniforms, side="right") into out and return it.
+
+    The 1-D uniforms, each in [0, 1), are looked up LOOKUP_CHUNK keys at a
+    time: a chunk is put in order, searched in that order and the results are
+    scattered back to the keys' positions. A key's result does not depend on
+    the other keys or their order, so out is the unsorted search's bit for
+    bit. In order, each binary search starts where the last one ended and its
+    branches are predictable, which makes it several times faster on a large
+    CDF. The order sorts the keys by their leading 16 bits only (a radix
+    argsort of uint16, a third of the cost of a float argsort); keys that
+    share those bits fall within 2**-16 of each other.
+    """
+    for lo in range(0, uniforms.size, LOOKUP_CHUNK):
+        keys = uniforms[lo:lo + LOOKUP_CHUNK]
+        order = np.argsort((keys * 65536.0).astype(np.uint16), kind="stable")
+        out[lo:lo + keys.size][order] = np.searchsorted(cdf, keys[order], side="right")
+    return out
+
+
 def sample_event_indices(dist: OutputDistribution, seed, count: int) -> np.ndarray:
     """Inverse-CDF draws of state indices; deterministic for a fixed seed."""
     if count < 0:
@@ -320,8 +342,7 @@ def sample_event_indices(dist: OutputDistribution, seed, count: int) -> np.ndarr
     rng = seed if isinstance(seed, np.random.Generator) else np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(seed))
     )
-    u = rng.random(count)
-    return np.searchsorted(_cdf(dist.probs), u, side="right").astype(np.int64)
+    return _lookup(_cdf(dist.probs), rng.random(count), np.empty(count, np.int64))
 
 
 def sample_events(dist: OutputDistribution, seed, count: int) -> np.ndarray:

@@ -607,6 +607,30 @@ def test_sample_output_matches_row_by_row_reference(tmp_path, family, inp):
     assert body == "".join(_row_text(row) + "\n" for row in events)
 
 
+# per-draw bytes a `sample` call may hold beyond its build: the uniforms and
+# the state indices take 16
+SAMPLE_BYTES_PER_DRAW = 25
+# what a few formatted FORMAT_CHUNKs of 20-mode events take
+SAMPLE_CHUNK_BYTES = 4 * st.FORMAT_CHUNK * 128
+
+
+def test_sample_memory_does_not_grow_with_its_output(tmp_path):
+    inp = ":".join("1" * 6 + "0" * 14)
+
+    def peak(count):
+        tracemalloc.start()
+        try:
+            assert main(["sample", "--m", "20", "--seed", "3", "--input", inp, "--renormalize",
+                         "--count", str(count), "--out", str(tmp_path / "s.csv")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    build = peak(0)
+    count = 200_000
+    assert peak(count) <= build + SAMPLE_BYTES_PER_DRAW * count + SAMPLE_CHUNK_BYTES
+
+
 BAD_MATRIX_FILES = {
     "unparsable": '{"m": 2, "re": [[1.0, 0.0], [0.0, 1.0]], "im": ',
     "not-an-object": "[1, 2, 3]",
@@ -930,6 +954,9 @@ BAD_NUMERIC_FLAGS = {
        for v in ("0", "-3")},
     "validate-threads-0": (["validate", "--m", "6", "--n", "2", "--ensemble", "2",
                             "--trials", "50", "--threads", "0"], 2, "usage-error"),
+    "validate-ensemble-too-large": (["validate", "--m", "6", "--n", "2", "--trials", "50",
+                                     "--max-samples", "100", "--ensemble", "100000000"],
+                                    1, "instance-too-large"),
     **{f"{cmd}-negative-seed": (argv, 2, "usage-error") for cmd, argv in (
         ("distribution", ["distribution", "--m", "4", "--seed", "-1", "--input", "1:1:0:0"]),
         ("sample", ["sample", "--m", "4", "--seed", "-2", "--input", "1:1:0:0",

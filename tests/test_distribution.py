@@ -445,6 +445,32 @@ def test_each_build_enumerates_its_basis_once(monkeypatch, build):
     assert calls == [(6, 3 if build.startswith("full") else 2, family)]
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=hst.data())
+def test_lookup_matches_searchsorted_property(data):
+    # the oracle is numpy's unsorted search over the same pinned CDF
+    weight = hst.sampled_from([0.0, 1.0]) | hst.floats(0.0, 1.0, allow_subnormal=False)
+    weights = data.draw(hst.lists(weight, min_size=1, max_size=30))
+    probs = np.array(weights)
+    if probs.sum() == 0.0:
+        probs[data.draw(hst.integers(0, probs.size - 1))] = 1.0  # a point mass
+    # scaled up by a few ulps, the cumsum can round above 1.0 before the last
+    # entry is pinned to it
+    probs *= data.draw(hst.sampled_from([1.0, 1.0 + 2**-52, 1.0 + 2**-50])) / probs.sum()
+    cdf = distribution._cdf(probs)
+    chunk = distribution.LOOKUP_CHUNK
+    count = data.draw(hst.sampled_from([0, 1, 7, chunk - 1, chunk, chunk + 1]))
+    rng = np.random.default_rng(data.draw(hst.integers(0, 2**32 - 1)))
+    uniforms = rng.random(count)
+    # keys equal to a CDF entry below 1.0, to 0.0 or to the largest uniform,
+    # at random positions
+    special = np.concatenate([cdf[cdf < 1.0], [0.0, 1.0 - 2**-53]])
+    at = rng.integers(0, count, size=min(count, 3 * special.size)) if count else []
+    uniforms[at] = rng.choice(special, size=len(at))
+    got = distribution._lookup(cdf, uniforms, np.empty(count, np.int64))
+    assert np.array_equal(got, np.searchsorted(cdf, uniforms, side="right"))
+
+
 def test_sampling_requires_renormalized():
     u = haar_random_unitary(5, 2)
     d = full_distribution(u, [1, 1, 0, 0, 0])

@@ -13,7 +13,6 @@ from scattershot.distribution import (
     LossConfig,
     OutputDistribution,
     lossy_distribution,
-    sample_event_indices,
 )
 from scattershot.errors import (
     DegenerateHypothesisError,
@@ -24,6 +23,7 @@ from scattershot.errors import (
 from scattershot.linalg import haar_random_unitary
 from scattershot.validation import (
     FIRST_PREFIX,
+    MAX_ENSEMBLE,
     _log_ratios,
     fit_sample_scaling,
     min_samples_to_validate,
@@ -56,13 +56,26 @@ def test_min_samples_deterministic():
     assert a.n_detected == 3
 
 
+# (m, n, loss, max_samples) -> per-unitary minima at ensemble=10, trials=500,
+# seed=1. The output-loss figures come from the earlier full-Fock output-loss
+# path, which building the table on the detected basis must not move; the
+# other two from the unsorted inverse-CDF search, which the chunked lookup
+# must not move.
+PINNED_MINIMA = {
+    "m20-n3-loss-out-1": ((20, 3, LossConfig(0, 1), 1500),
+                          [118, 105, 109, 89, 104, 98, 90, 91, 101, 107]),
+    "m30-n5-lossless": ((30, 5, LossConfig(0, 0), 200), [10, 11, 10, 11, 11, 12, 13, 9, 9, 10]),
+    "m20-n4-loss-in-1": ((20, 4, LossConfig(1, 0), 700), [43, 34, 44, 43, 49, 42, 44, 40, 44, 36]),
+}
+
+
 @pytest.mark.parametrize("workers", [1, 2])
-def test_output_loss_minima_are_pinned(workers):
-    # figures of the earlier full-Fock output-loss path; building the table on
-    # the detected basis (output loss as input loss) must not move them
-    r = min_samples_to_validate(20, 3, LossConfig(0, 1), ensemble=10, trials=500, seed=1,
-                                max_samples=1500, workers=workers)
-    assert r.per_unitary.tolist() == [118, 105, 109, 89, 104, 98, 90, 91, 101, 107]
+@pytest.mark.parametrize("case", sorted(PINNED_MINIMA))
+def test_minima_are_pinned(case, workers):
+    (m, n, loss, max_samples), minima = PINNED_MINIMA[case]
+    r = min_samples_to_validate(m, n, loss, ensemble=10, trials=500, seed=1,
+                                max_samples=max_samples, workers=workers)
+    assert r.per_unitary.tolist() == minima
 
 
 def test_validate_pool_width_is_bounded_by_cpu_count(monkeypatch):
@@ -145,6 +158,20 @@ def test_oversized_draw_table_is_refused_before_any_unitary(monkeypatch):
                                 max_samples=MAX_DRAWS // 50 + 1)
 
 
+def test_oversized_ensemble_is_refused_before_any_spawn(monkeypatch):
+    def no_unitary(*args):
+        raise AssertionError("a unitary was built")
+
+    def no_seeds(*args, **kwargs):
+        raise AssertionError("a seed sequence was made")
+
+    monkeypatch.setattr(validation, "haar_random_unitary", no_unitary)
+    monkeypatch.setattr(np.random, "SeedSequence", no_seeds)
+    with pytest.raises(InstanceTooLargeError):
+        min_samples_to_validate(10, 3, LossConfig(0, 0), ensemble=MAX_ENSEMBLE + 1, trials=50,
+                                max_samples=100)
+
+
 def _full_stream_minima(m, n, loss, ensemble, trials, seed, max_samples, confidence=0.95):
     """Per-unitary minima by the whole-stream search: every column of every
     stream is looked up and summed before the first hit is taken."""
@@ -158,7 +185,10 @@ def _full_stream_minima(m, n, loss, ensemble, trials, seed, max_samples, confide
         p_cl = lossy_distribution(u, heralded, loss, model=DISTINGUISHABLE)
         log_r = _log_ratios(p_bs, p_cl)
         rng = np.random.Generator(np.random.PCG64(stream_ss))
-        idx = sample_event_indices(p_bs, rng, trials * max_samples).reshape(trials, max_samples)
+        draws = rng.random(trials * max_samples).reshape(trials, max_samples)
+        cdf = np.cumsum(p_bs.probs)
+        cdf[-1] = 1.0
+        idx = np.searchsorted(cdf, draws, side="right")
         cums = np.cumsum(log_r[idx], axis=1)
         hits = np.nonzero(np.mean(cums > 0.0, axis=0) >= confidence)[0]
         if hits.size == 0:

@@ -483,6 +483,9 @@ def cmd_sources(args) -> int:
                  for demux in ("passive", "active")]
     else:
         if doc["platform"] == "spdc":
+            if args.n_lost is not None:
+                raise UsageError(f"--n-lost does not apply to spdc configs, which list "
+                                 f"lossy1..n-1; got {args.n_lost}")
             mc = src.monte_carlo_spdc(
                 args.m, args.n, params, args.trials, args.seed, workers=args.threads
             )
@@ -494,18 +497,20 @@ def cmd_sources(args) -> int:
         else:
             if args.n > args.m:
                 raise UsageError(f"--n must not exceed --m={args.m}, got {args.n}")
-            if not 0 <= args.n_lost <= args.n:
-                raise UsageError(f"--n-lost must lie in [0, --n={args.n}], got {args.n_lost}")
+            n_lost = 1 if args.n_lost is None else args.n_lost
+            if not 0 <= n_lost <= args.n:
+                raise UsageError(f"--n-lost must lie in [0, --n={args.n}], got {n_lost}")
             mc = src.monte_carlo_mw(
                 args.m, args.n, params, args.trials, args.seed, workers=args.threads
             )
             rows = [(f"lossy{k}", src.p_mw_lossy_dark(args.m, args.n, k, params), mc[k])
-                    for k in range(0, args.n_lost + 1)]
+                    for k in range(0, n_lost + 1)]
+            config["n_lost"] = n_lost
         header = "class,analytic,mc_estimate,mc_stderr,sigmas"
         lines = [f"{name},{_fmt(analytic)},{_fmt(est.probability)},{_fmt(est.stderr)},"
                  f"{_fmt(est.sigmas_from(analytic))}" for name, analytic, est in rows]
         # the quantum-dot closed form reads none of these
-        config.update(n_lost=args.n_lost, trials=args.trials, seed=args.seed)
+        config.update(trials=args.trials, seed=args.seed)
     _write_text(args.out, _table("sources", config, header, lines))
     return 0
 
@@ -642,8 +647,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="platform config JSON")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--n-lost", type=int, default=1,
-                   help="microwave: list lossy0..N-LOST; SPDC always lists lossy1..n-1")
+    p.add_argument("--n-lost", type=int,
+                   help="microwave only: list lossy0..N-LOST (default 1); SPDC lists "
+                        "lossy1..n-1")
     p.add_argument("--trials", type=int, default=1_000_000)
     p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--out", help="CSV path (stdout if omitted)")

@@ -29,9 +29,10 @@ from math import exp, inf, lgamma, log
 
 import numpy as np
 
-from .errors import InvalidConfigurationError
+from .errors import InstanceTooLargeError, InvalidConfigurationError
 
 MC_CHUNK = 200_000
+MAX_TRIALS = 10**10  # 50000 chunk seeds, about 26 MB of SeedSequences
 
 
 def _check_prob(name: str, value: float) -> None:
@@ -244,10 +245,15 @@ def _mc_chunks(trials: int, seed: int) -> list[tuple[int, np.random.SeedSequence
     """(size, SeedSequence) pairs: MC_CHUNK shots each, then the remainder.
 
     The plan depends only on `trials` and `seed`, so the per-chunk streams,
-    and every count, are the same for any worker count.
+    and every count, are the same for any worker count. More than MAX_TRIALS
+    trials are refused before any seed is spawned.
     """
     if trials < 10_000:
         raise InvalidConfigurationError("Monte-Carlo needs at least 1e4 trials")
+    if trials > MAX_TRIALS:
+        raise InstanceTooLargeError(
+            f"Monte-Carlo trials above {MAX_TRIALS:.0e} are refused, got {trials}"
+        )
     sizes = [MC_CHUNK] * (trials // MC_CHUNK)
     if trials % MC_CHUNK:
         sizes.append(trials % MC_CHUNK)
@@ -294,6 +300,26 @@ class SpdcMcResult:
     lossy: dict[int, McEstimate]
 
 
+def _pair_tail(m: int, g: float) -> np.ndarray:
+    """P(pairs >= k) for k = 0..m, where pairs ~ Binomial(m, g + g^2) counts
+    the sources of a shot that make a pair.
+
+    The pmf is taken in log space and summed from k = m down, so the small
+    tails keep their relative precision and nothing overflows at large m;
+    dividing by the whole sum makes P(pairs >= 0) exactly 1 and cancels the
+    rounding of log m! that every term shares.
+    """
+    q = g + g * g
+    k = np.arange(m + 1)
+    log_fact = np.fromiter((lgamma(j + 1) for j in range(m + 1)), float, count=m + 1)
+    log_pmf = -(log_fact + log_fact[::-1])  # log C(m, k) - log m!
+    with np.errstate(divide="ignore"):
+        log_pmf[1:] += k[1:] * np.log(q)  # 0^0 = 1 at k = 0, and k = m below
+        log_pmf[:-1] += (m - k[:-1]) * np.log1p(-q)
+    tail = np.cumsum(np.exp(log_pmf - log_pmf.max())[::-1])[::-1]
+    return tail / tail[0]
+
+
 def monte_carlo_spdc(
     m: int,
     n: int,
@@ -313,10 +339,13 @@ def monte_carlo_spdc(
     state a subset of the heralded singles, k photons short at detection).
 
     The draw is sparse but samples the same process: per shot the number of
-    pair-making sources is Binomial(m, g + g^2), shots with fewer than n of
-    them (which cannot herald n) are dropped, and only the pair-making
-    sources of the rest draw their pair type (double with g^2 / (g + g^2)),
-    trigger and injection. A source without a pair never triggers, and the
+    pair-making sources is Binomial(m, g + g^2), drawn by inverting one
+    uniform against that law's tail P(pairs >= k) (`_pair_tail`, built here
+    from m and g alone, not from any event-class closed form). Shots with
+    fewer than n pairs (which cannot herald n) are dropped by that uniform
+    before anything else is drawn, and only the pair-making sources of the
+    rest draw their pair type (double with g^2 / (g + g^2)), trigger and
+    injection. A source without a pair never triggers, and the
     modes are exchangeable, so which sources fired changes no event class.
     The active sources of a chunk are processed in groups of at most
     MC_CHUNK + m, so every temporary holds O(MC_CHUNK + m) elements whatever
@@ -354,9 +383,14 @@ def monte_carlo_spdc(
             np.bincount(deficit, minlength=n + 1)[1:n],
         ))
 
+    # a shot with u < P(pairs >= n) makes n - 1 + #{k >= n : u < P(pairs >= k)} pairs
+    tail = _pair_tail(m, g)[n:]
+    ascending = tail[::-1].copy()
+
     def run_chunk(size, rng):
-        pairs = rng.binomial(m, g + g * g, size=size)
-        pairs = pairs[pairs >= n]
+        u = rng.random(size)
+        u = u[u < tail[0]]
+        pairs = m - np.searchsorted(ascending, u, side="right")
         ends = np.cumsum(pairs)
         cuts = np.searchsorted(ends, np.arange(MC_CHUNK, pairs.sum(), MC_CHUNK), "right")
         return sum(classify(group, rng) for group in np.split(pairs, cuts))
@@ -457,18 +491,26 @@ def monte_carlo_mw(
     Per shot: each of n photons is created with p_in; each created photon is
     detected with eta_d; each of the m - created vacuum modes fires a dark
     count with p_dark. Events are classed by the apparent deficit
-    n - (real clicks + dark clicks), k = 0..n. Chunks and seeds are planned
-    as in monte_carlo_spdc, so results do not depend on the worker count.
+    n - (real clicks + dark clicks), k = 0..n.
+
+    Shots are iid, so a chunk draws the created count of every shot, groups
+    the shots by it and draws each group's real and dark clicks with scalar
+    parameters; only numpy's binomial samplers are used, no formula. Chunks
+    and seeds are planned as in monte_carlo_spdc, so results do not depend on
+    the worker count.
     """
     if not 0 <= n <= m:
         raise InvalidConfigurationError(f"need 0 <= n <= m, got n={n}, m={m}")
 
     def run_chunk(size, rng):
-        created = rng.binomial(n, params.p_in, size=size)
-        real = rng.binomial(created, params.eta_d)
-        dark = rng.binomial(m - created, params.p_dark)
-        lost = n - (real + dark)
-        return np.bincount(lost[lost >= 0], minlength=n + 1)
+        created = np.bincount(rng.binomial(n, params.p_in, size=size), minlength=n + 1)
+        counts = np.zeros(n + 1, dtype=np.int64)
+        for c, shots in enumerate(created.tolist()):
+            if shots:
+                clicks = (rng.binomial(c, params.eta_d, size=shots)
+                          + rng.binomial(m - c, params.p_dark, size=shots))
+                counts += np.bincount(n - clicks[clicks <= n], minlength=n + 1)
+        return counts
 
     totals = _mc_run(trials, seed, workers, run_chunk)
     return {k: _mc_estimate(totals[k], trials) for k in range(n + 1)}

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import math
 import tempfile
 import tracemalloc
 import warnings
@@ -894,18 +895,28 @@ def test_supremacy_header_records_demux_for_qd_only(tmp_path, spdc_config, qd_co
     assert "demux" not in configs["spdc"] and "demux" not in configs["mw"]
 
 
-def test_sources_class_without_hits_reads_finite_sigmas(spdc_config, capsys):
-    # no fake event in 2e5 shots at m=10, n=3; the z-test takes its stderr from
-    # the tested closed form, sqrt(v (1 - v) / trials), not from the zero estimate
+def test_sources_class_without_hits_reads_finite_sigmas(spdc_config, capsys, monkeypatch):
+    # a class with no hit has estimate and stderr 0; the z-test takes its
+    # stderr from the tested closed form, sqrt(v (1 - v) / trials), so it
+    # stays finite
+    trials = 200000
+
+    def no_fake_hit(m, n, params, trials, seed, workers=1):
+        hit = sources.McEstimate(1e-5, math.sqrt(1e-5 * (1 - 1e-5) / trials), trials)
+        return sources.SpdcMcResult(trials, hit, sources.McEstimate(0.0, 0.0, trials),
+                                    {k: hit for k in range(1, n)})
+
+    monkeypatch.setattr(sources, "monte_carlo_spdc", no_fake_hit)
     assert main(["sources", "--config", spdc_config, "--m", "10", "--n", "3",
-                 "--trials", "200000", "--seed", "7"]) == 0
+                 "--trials", str(trials), "--seed", "7"]) == 0
     rows = {r[0]: r for r in (ln.split(",") for ln in capsys.readouterr().out.splitlines()
                               if not ln.startswith("#"))}
     analytic, estimate, stderr, sigmas = (float(x) for x in rows["fake"][1:])
     assert estimate == 0.0 and stderr == 0.0
-    assert sigmas == pytest.approx(analytic / np.sqrt(analytic * (1 - analytic) / 200000),
+    assert sigmas == pytest.approx(analytic / np.sqrt(analytic * (1 - analytic) / trials),
                                    rel=1e-12)
     assert sigmas < 1.0
+    assert sources.McEstimate(0.0, 0.0, trials).sigmas_from(analytic) == sigmas
 
 
 def test_bad_config_is_usage_error(tmp_path, capsys):
@@ -968,6 +979,12 @@ BAD_NUMERIC_FLAGS = {
     )},
     "sources-qd-n-above-m": (["sources", "--config", "QD", "--m", "3", "--n", "5"],
                              1, "invalid-configuration"),
+    # 1e14 trials would spawn 5e8 chunk seeds before the first chunk ran
+    "sources-trials-too-large": (["sources", "--config", "SPDC", "--m", "10", "--n", "2",
+                                  "--trials", "100000000000000"], 1, "instance-too-large"),
+    # SPDC lists lossy1..n-1 whatever --n-lost says
+    "sources-n-lost-spdc": (["sources", "--config", "SPDC", "--m", "6", "--n", "3",
+                             "--trials", "20000", "--n-lost", "2"], 2, "usage-error"),
 }
 
 
@@ -1021,14 +1038,27 @@ def test_sample_threads_is_refused(capsys):
     assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
-def test_sources_spdc_rows_ignore_n_lost(spdc_config, capsys):
-    rows = []
+def test_sources_spdc_refuses_explicit_n_lost(spdc_config, capsys, monkeypatch):
+    # SPDC always lists lossy1..n-1, so its header records no n_lost and an
+    # explicit --n-lost is a usage error before the Monte-Carlo runs
+    assert main(["sources", "--config", spdc_config, "--m", "6", "--n", "3",
+                 "--trials", "20000", "--seed", "8"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    header = next(ln for ln in lines if ln.startswith("# config: "))
+    assert json.loads(header[len("# config: "):]) == {
+        "platform": "spdc", "m": 6, "n": 3, "trials": 20000, "seed": 8}
+    rows = [ln for ln in lines if not ln.startswith("#")]
+    assert [r.split(",")[0] for r in rows[1:]] == ["success", "fake", "lossy1", "lossy2"]
+
+    def no_monte_carlo(*args, **kwargs):
+        raise AssertionError("the Monte-Carlo ran before --n-lost was checked")
+
+    monkeypatch.setattr(sources, "monte_carlo_spdc", no_monte_carlo)
     for n_lost in ("0", "1", "2"):
         assert main(["sources", "--config", spdc_config, "--m", "6", "--n", "3",
-                     "--n-lost", n_lost, "--trials", "20000", "--seed", "8"]) == 0
-        rows.append([ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("#")])
-    assert rows[0] == rows[1] == rows[2]
-    assert [r.split(",")[0] for r in rows[0][1:]] == ["success", "fake", "lossy1", "lossy2"]
+                     "--n-lost", n_lost, "--trials", "20000", "--seed", "8"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage-error: --n-lost ") and f"got {n_lost}" in err
 
 
 @pytest.mark.parametrize("n_lost", ["-1", "4"])

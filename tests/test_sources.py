@@ -13,8 +13,9 @@ from hypothesis import strategies as hst
 
 from scattershot import sources
 from scattershot.cli import main
-from scattershot.errors import InvalidConfigurationError
+from scattershot.errors import InstanceTooLargeError, InvalidConfigurationError
 from scattershot.sources import (
+    MAX_TRIALS,
     MwParams,
     QdParams,
     SpdcParams,
@@ -355,6 +356,85 @@ def test_monte_carlo_deterministic_and_worker_invariant():
     assert a.lossy[1].probability == b.lossy[1].probability
 
 
+def _assert_within(mc_counts, exact, trials, z_max):
+    """Each frequency within z_max stderrs of its exact probability, the
+    stderr taken from that probability; an impossible or certain class must
+    read exactly 0 or 1."""
+    for name, p in exact.items():
+        got = mc_counts[name].probability
+        if p in (0.0, 1.0):
+            assert got == p, (name, got)
+        else:
+            z = (got - p) / math.sqrt(p * (1.0 - p) / trials)
+            assert abs(z) < z_max, (name, z)
+
+
+def test_monte_carlo_n_equals_m_matches_exact_process():
+    # 5 values within 4.5 sigma: two-sided 6.8e-6 each, family-wise <= 3.4e-5;
+    # the smallest class (success) expects about 1000 hits
+    params = SpdcParams(g=0.5, eta_t=0.6, p_in=0.7, eta_d=0.6)
+    trials = 1_000_000
+    mc = monte_carlo_spdc(4, 4, params, trials, 13)
+    got = {"success": mc.success, "fake": mc.fake}
+    got.update({f"lossy{k}": est for k, est in mc.lossy.items()})
+    exact = exact_spdc_classes(4, 4, params, max_lost=3)
+    assert set(got) == set(exact)
+    _assert_within(got, exact, trials, 4.5)
+
+
+def _tail_reference(m, q):
+    """P(pairs >= k), k = 0..m, for pairs ~ Binomial(m, q), with math.comb."""
+    pmf = [comb(m, j) * q**j * (1.0 - q) ** (m - j) for j in range(m + 1)]
+    return [math.fsum(pmf[k:]) for k in range(m + 1)]
+
+
+G_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # g + g^2 = 1 up to rounding
+
+
+@pytest.mark.parametrize("g", [0.0, 1e-4, 0.02, 0.3, 0.6, G_GOLDEN])
+def test_pair_tail_matches_comb_reference(g):
+    for m in range(1, 61):
+        got = sources._pair_tail(m, g)
+        want = _tail_reference(m, g + g * g)
+        assert got.shape == (m + 1,)
+        for k, (a, b) in enumerate(zip(got, want)):
+            if b == 0.0:
+                assert a == 0.0, (m, k)
+            else:
+                assert math.isclose(a, min(b, 1.0), rel_tol=1e-12, abs_tol=0.0), (m, k, a, b)
+
+
+@pytest.mark.parametrize("m", [1100, 5000])
+@pytest.mark.parametrize("g", [1e-4, 0.02, 0.3, 0.6])
+def test_pair_tail_is_finite_at_large_m(m, g):
+    # math.comb(m, k) * float overflows from m ~ 1030 on; the log-space table
+    # must not, and its sum is the mean: sum_k>=1 P(pairs >= k) = m (g + g^2)
+    tail = sources._pair_tail(m, g)
+    assert np.isfinite(tail).all()
+    assert tail[0] == 1.0 and (tail <= 1.0).all() and (tail >= 0.0).all()
+    assert (np.diff(tail) <= 0.0).all()
+    assert math.isclose(math.fsum(tail[1:]), m * (g + g * g), rel_tol=1e-9)
+
+
+def test_pair_tail_without_pairs_keeps_no_shot():
+    # g = 0: no uniform lies below P(pairs >= n) = 0, for any n >= 1
+    tail = sources._pair_tail(12, 0.0)
+    assert tail[0] == 1.0 and not tail[1:].any()
+
+
+@pytest.mark.parametrize("sampler", ["spdc", "mw"])
+def test_oversized_trials_are_refused_before_any_spawn(sampler, monkeypatch):
+    def no_seeds(*args, **kwargs):
+        raise AssertionError("a seed sequence was made")
+
+    monkeypatch.setattr(np.random, "SeedSequence", no_seeds)
+    with pytest.raises(InstanceTooLargeError):
+        if sampler == "spdc":
+            monte_carlo_spdc(10, 2, SPDC_REF, MAX_TRIALS + 1, 1)
+        else:
+            monte_carlo_mw(16, 3, MW_REF, MAX_TRIALS + 1, 1)
+
+
 # ------------------------------------------------------------- quantum dot
 
 
@@ -442,6 +522,32 @@ def test_mw_monte_carlo_matches_exact_process():
     exact = exact_mw_apparent(16, 3, MW_REF)
     for k in (0, 1, 2):
         assert mc[k].sigmas_from(exact[k]) < 4.0
+
+
+# 29 random class frequencies, each within 4.5 sigma of the exact process with
+# the stderr of the exact probability: two-sided 6.8e-6 each, family-wise
+# <= 2.0e-4 (Bonferroni); the smallest class expects 74 hits in 400000 shots.
+# The last case is deterministic (every photon created and seen, no darks).
+MW_EXACT_CASES = {
+    "m16-n3": (16, 3, MW_REF),
+    "m30-n5": (30, 5, MW_REF),
+    "n=m=4": (4, 4, MW_REF),
+    "n0": (16, 0, MW_REF),
+    "p_dark=0": (16, 3, replace(MW_REF, p_dark=0.0)),
+    "p_in=1": (16, 3, replace(MW_REF, p_in=1.0)),
+    "eta_d=1": (16, 3, replace(MW_REF, eta_d=1.0)),
+    "ideal": (16, 3, MwParams(p_in=1.0, eta_d=1.0, p_dark=0.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MW_EXACT_CASES))
+def test_mw_monte_carlo_matches_exact_process_every_class(case):
+    m, n, params = MW_EXACT_CASES[case]
+    trials = 400_000
+    mc = monte_carlo_mw(m, n, params, trials, 11)
+    exact = exact_mw_apparent(m, n, params)
+    assert set(mc) == set(range(n + 1))
+    _assert_within(mc, {k: exact.get(k, 0.0) for k in range(n + 1)}, trials, 4.5)
 
 
 def test_monte_carlo_pool_width_is_bounded_by_cpu_count(monkeypatch):

@@ -12,7 +12,6 @@ from .distribution import (
     distinguishable_probability,
     full_distribution,
     lossy_distribution,
-    sample_events,
     total_variation_distance,
 )
 from .linalg import build_submatrix, haar_random_unitary, matrix_from_json
@@ -40,7 +39,6 @@ from .sources import (
 from .states import COLLISION_FREE, FULL_FOCK, enumerate_states
 from .supremacy import (
     SupremacyPoint,
-    crossing_modes,
     supremacy_sweep_mw,
     supremacy_sweep_qd,
     supremacy_sweep_spdc,

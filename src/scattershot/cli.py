@@ -476,19 +476,24 @@ def cmd_sources(args) -> int:
     params = params_from_config(doc, m=args.m)
     config = {"platform": doc["platform"], "m": args.m, "n": args.n}
     if doc["platform"] == "qd":
+        for flag, value in (("--n-lost", args.n_lost), ("--trials", args.trials),
+                            ("--seed", args.seed)):
+            if value is not None:
+                raise UsageError(f"{flag} does not apply to qd configs, which run no "
+                                 f"Monte-Carlo; got {value}")
         if not 1 <= args.n <= args.m:
             raise InvalidConfigurationError(f"need 1 <= n <= m, got n={args.n}, m={args.m}")
         header = "class,analytic"
         lines = [f"{demux},{_fmt(src.p_qd(args.n, args.n, params, demux))}"
                  for demux in ("passive", "active")]
     else:
+        trials = 1_000_000 if args.trials is None else args.trials
+        seed = 0 if args.seed is None else args.seed
         if doc["platform"] == "spdc":
             if args.n_lost is not None:
                 raise UsageError(f"--n-lost does not apply to spdc configs, which list "
                                  f"lossy1..n-1; got {args.n_lost}")
-            mc = src.monte_carlo_spdc(
-                args.m, args.n, params, args.trials, args.seed, workers=args.threads
-            )
+            mc = src.monte_carlo_spdc(args.m, args.n, params, trials, seed, workers=args.threads)
             rows = [
                 ("success", src.p_sbs(args.m, args.n, params), mc.success),
                 ("fake", src.p_sbs_fake(args.m, args.n, params), mc.fake),
@@ -500,17 +505,14 @@ def cmd_sources(args) -> int:
             n_lost = 1 if args.n_lost is None else args.n_lost
             if not 0 <= n_lost <= args.n:
                 raise UsageError(f"--n-lost must lie in [0, --n={args.n}], got {n_lost}")
-            mc = src.monte_carlo_mw(
-                args.m, args.n, params, args.trials, args.seed, workers=args.threads
-            )
+            mc = src.monte_carlo_mw(args.m, args.n, params, trials, seed, workers=args.threads)
             rows = [(f"lossy{k}", src.p_mw_lossy_dark(args.m, args.n, k, params), mc[k])
                     for k in range(0, n_lost + 1)]
             config["n_lost"] = n_lost
         header = "class,analytic,mc_estimate,mc_stderr,sigmas"
         lines = [f"{name},{_fmt(analytic)},{_fmt(est.probability)},{_fmt(est.stderr)},"
                  f"{_fmt(est.sigmas_from(analytic))}" for name, analytic, est in rows]
-        # the quantum-dot closed form reads none of these
-        config.update(trials=args.trials, seed=args.seed)
+        config.update(trials=trials, seed=seed)
     _write_text(args.out, _table("sources", config, header, lines))
     return 0
 
@@ -650,8 +652,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-lost", type=int,
                    help="microwave only: list lossy0..N-LOST (default 1); SPDC lists "
                         "lossy1..n-1")
-    p.add_argument("--trials", type=int, default=1_000_000)
-    p.add_argument("--seed", type=seed, default=0)
+    p.add_argument("--trials", type=int,
+                   help="Monte-Carlo shots (default 1000000); not for qd configs")
+    p.add_argument("--seed", type=seed, help="Monte-Carlo seed (default 0); not for qd configs")
     p.add_argument("--out", help="CSV path (stdout if omitted)")
     p.set_defaults(func=cmd_sources)
 

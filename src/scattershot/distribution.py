@@ -343,9 +343,3 @@ def sample_event_indices(dist: OutputDistribution, seed, count: int) -> np.ndarr
         np.random.PCG64(np.random.SeedSequence(seed))
     )
     return _lookup(_cdf(dist.probs), rng.random(count), np.empty(count, np.int64))
-
-
-def sample_events(dist: OutputDistribution, seed, count: int) -> np.ndarray:
-    """I.i.d. sampled occupation vectors, (count, m)."""
-    idx = sample_event_indices(dist, seed, count)
-    return dist.states[idx]

@@ -33,6 +33,7 @@ from .errors import InstanceTooLargeError, InvalidConfigurationError
 
 MC_CHUNK = 200_000
 MAX_TRIALS = 10**10  # 50000 chunk seeds, about 26 MB of SeedSequences
+MAX_MODES = 10**5  # _binomial_pmf(MAX_MODES, q) peaks at about 4 MB, 40 bytes per entry
 
 
 def _check_prob(name: str, value: float) -> None:
@@ -300,23 +301,42 @@ class SpdcMcResult:
     lossy: dict[int, McEstimate]
 
 
+def _check_modes(m: int) -> None:
+    """Refuse more than MAX_MODES modes before any law table is built."""
+    if m > MAX_MODES:
+        raise InstanceTooLargeError(
+            f"Monte-Carlo modes above {MAX_MODES:.0e} are refused, got {m}"
+        )
+
+
+def _binomial_pmf(T: int, q: float) -> np.ndarray:
+    """P(X = k) for k = 0..T, X ~ Binomial(T, q): the law every Monte-Carlo
+    draw is split by.
+
+    Built from T and q alone (log factorials by `math.lgamma`), not from any
+    event-class closed form, so the Monte-Carlo stays an independent oracle.
+    The pmf is exponentiated after subtracting its largest log, so nothing
+    overflows at large T, and divided by its sum, which cancels the rounding
+    of log T! that every term shares.
+    """
+    k = np.arange(T + 1)
+    log_fact = np.fromiter((lgamma(j + 1) for j in range(T + 1)), float, count=T + 1)
+    log_pmf = -(log_fact + log_fact[::-1])  # log C(T, k) - log T!
+    with np.errstate(divide="ignore"):
+        log_pmf[1:] += k[1:] * np.log(q)  # 0^0 = 1 at k = 0, and k = T below
+        log_pmf[:-1] += (T - k[:-1]) * np.log1p(-q)
+    pmf = np.exp(log_pmf - log_pmf.max())
+    return pmf / pmf.sum()
+
+
 def _pair_tail(m: int, g: float) -> np.ndarray:
     """P(pairs >= k) for k = 0..m, where pairs ~ Binomial(m, g + g^2) counts
     the sources of a shot that make a pair.
 
-    The pmf is taken in log space and summed from k = m down, so the small
-    tails keep their relative precision and nothing overflows at large m;
-    dividing by the whole sum makes P(pairs >= 0) exactly 1 and cancels the
-    rounding of log m! that every term shares.
+    Summed from k = m down, so the small tails keep their relative precision;
+    dividing by the whole sum makes P(pairs >= 0) exactly 1.
     """
-    q = g + g * g
-    k = np.arange(m + 1)
-    log_fact = np.fromiter((lgamma(j + 1) for j in range(m + 1)), float, count=m + 1)
-    log_pmf = -(log_fact + log_fact[::-1])  # log C(m, k) - log m!
-    with np.errstate(divide="ignore"):
-        log_pmf[1:] += k[1:] * np.log(q)  # 0^0 = 1 at k = 0, and k = m below
-        log_pmf[:-1] += (m - k[:-1]) * np.log1p(-q)
-    tail = np.cumsum(np.exp(log_pmf - log_pmf.max())[::-1])[::-1]
+    tail = np.cumsum(_binomial_pmf(m, g + g * g)[::-1])[::-1]
     return tail / tail[0]
 
 
@@ -328,7 +348,7 @@ def monte_carlo_spdc(
     seed: int,
     workers: int = 1,
 ) -> SpdcMcResult:
-    """Simulate the physical scattershot process shot by shot.
+    """Simulate the physical scattershot process.
 
     Per shot: each source makes 0/1/2 pairs; triggered singles click with
     eta_t, doubles with eta_t2; shutters keep unheralded modes closed; every
@@ -338,25 +358,29 @@ def monte_carlo_spdc(
     (n detected, injected state wrong) or lossy-k for k = 1..n-1 (injected
     state a subset of the heralded singles, k photons short at detection).
 
-    The draw is sparse but samples the same process: per shot the number of
-    pair-making sources is Binomial(m, g + g^2), drawn by inverting one
-    uniform against that law's tail P(pairs >= k) (`_pair_tail`, built here
-    from m and g alone, not from any event-class closed form). Shots with
-    fewer than n pairs (which cannot herald n) are dropped by that uniform
-    before anything else is drawn, and only the pair-making sources of the
-    rest draw their pair type (double with g^2 / (g + g^2)), trigger and
-    injection. A source without a pair never triggers, and the
-    modes are exchangeable, so which sources fired changes no event class.
-    The active sources of a chunk are processed in groups of at most
-    MC_CHUNK + m, so every temporary holds O(MC_CHUNK + m) elements whatever
-    m and g are, against O(MC_CHUNK * m) for a dense per-source draw.
+    The draw is sparse but samples the same process. Per shot the number of
+    pair-making sources is Binomial(m, g + g^2), with tail t_k = P(pairs >= k)
+    (`_pair_tail`, from `_binomial_pmf`). A shot with fewer than n pairs
+    cannot herald n, so a chunk of `size` shots first draws how many it keeps,
+    Binomial(size, t_n): that is the law of the number of iid U(0, 1) below
+    t_n, and given that number those uniforms are iid U(0, t_n). So each kept
+    shot draws one uniform on [0, t_n), held below t_n so no rounding gives it
+    n - 1 pairs, and inverts it against the tail. Only the pair-making sources
+    of the kept shots draw their pair type (double with g^2 / (g + g^2)),
+    trigger and injection. A source without a pair never triggers, and the
+    modes are exchangeable, so which sources fired changes no event class. A
+    chunk costs O(kept shots + their pairs), and its active sources are
+    processed in groups of at most MC_CHUNK + m, so every temporary holds
+    O(MC_CHUNK + m) elements whatever m and g are.
 
     Trials are split into fixed-size chunks with seeds derived per chunk, and
     chunk counts are reduced in index order, so results do not depend on the
-    worker count.
+    worker count. More than MAX_MODES modes are refused before the tail is
+    built.
     """
     if not 1 <= n <= m:
         raise InvalidConfigurationError(f"need 1 <= n <= m, got n={n}, m={m}")
+    _check_modes(m)
     g, eta_t, eta_t2, p_in = params.g, params.eta_t, params.eta_t2, params.p_in
     p_double = g / (1.0 + g)  # g^2 / (g + g^2), and 0 at g = 0
 
@@ -386,10 +410,10 @@ def monte_carlo_spdc(
     # a shot with u < P(pairs >= n) makes n - 1 + #{k >= n : u < P(pairs >= k)} pairs
     tail = _pair_tail(m, g)[n:]
     ascending = tail[::-1].copy()
+    below = np.nextafter(tail[0], 0.0)
 
     def run_chunk(size, rng):
-        u = rng.random(size)
-        u = u[u < tail[0]]
+        u = np.minimum(rng.random(rng.binomial(size, tail[0])) * tail[0], below)
         pairs = m - np.searchsorted(ascending, u, side="right")
         ends = np.cumsum(pairs)
         cuts = np.searchsorted(ends, np.arange(MC_CHUNK, pairs.sum(), MC_CHUNK), "right")
@@ -488,28 +512,50 @@ def monte_carlo_mw(
 ) -> dict[int, McEstimate]:
     """Bernoulli-process oracle for the microwave model.
 
-    Per shot: each of n photons is created with p_in; each created photon is
-    detected with eta_d; each of the m - created vacuum modes fires a dark
-    count with p_dark. Events are classed by the apparent deficit
-    n - (real clicks + dark clicks), k = 0..n.
+    Per shot: each of n photons is created with p_in, in its own source mode;
+    each created photon is detected with eta_d; each of the m - created
+    vacuum modes fires a dark count with p_dark. Events are classed by the
+    apparent deficit n - (real clicks + dark clicks), k = 0..n.
 
-    Shots are iid, so a chunk draws the created count of every shot, groups
-    the shots by it and draws each group's real and dark clicks with scalar
-    parameters; only numpy's binomial samplers are used, no formula. Chunks
-    and seeds are planned as in monte_carlo_spdc, so results do not depend on
-    the worker count.
+    Shots are iid, so a chunk draws how many shots take each branch, not each
+    shot. Its created counts c = 0..n are one Multinomial(size, Bin(n, p_in)).
+    The s_c shots with c created photons split by real clicks r with
+    Multinomial(s_c, Bin(c, eta_d)), and each (c, r) group by the dark clicks
+    of its n - c unlit source modes, Bin(n - c, p_dark), which gives the
+    clicks j <= n of the n source modes. Last, the shots with j such clicks
+    split by the dark clicks d of the m - n modes without a source,
+    Bin(m - n, p_dark), in cells d = 0..n - j and one cell for more, and
+    cell d adds its shots to class n - j - d. The two dark counts of a shot
+    sum to its Bin(m - c, p_dark), and only the last law has O(m) entries,
+    so it is built once per call; the others hold at most n + 1. A chunk
+    makes at most 1 + (n + 1)(n + 6) / 2 draws of at most n + 2 cells,
+    whatever its size. Every law comes from `_binomial_pmf`, built from its
+    own (T, q), so the oracle shares no formula with `p_mw_lossy_dark`.
+    Chunks and seeds are planned as in monte_carlo_spdc, so results do not
+    depend on the worker count. More than MAX_MODES modes are refused before
+    any law is built.
     """
     if not 0 <= n <= m:
         raise InvalidConfigurationError(f"need 0 <= n <= m, got n={n}, m={m}")
+    _check_modes(m)
+    created_law = _binomial_pmf(n, params.p_in)
+    idle_law = _binomial_pmf(m - n, params.p_dark)[:n + 2]
 
     def run_chunk(size, rng):
-        created = np.bincount(rng.binomial(n, params.p_in, size=size), minlength=n + 1)
+        lit = np.zeros(n + 1, dtype=np.int64)  # shots by clicks j of the n source modes
+        for c, s_c in enumerate(rng.multinomial(size, created_law).tolist()):
+            if s_c:
+                unlit_law = _binomial_pmf(n - c, params.p_dark)
+                real = rng.multinomial(s_c, _binomial_pmf(c, params.eta_d))
+                for r, s_cr in enumerate(real.tolist()):
+                    if s_cr:
+                        lit[r:r + n - c + 1] += rng.multinomial(s_cr, unlit_law)
         counts = np.zeros(n + 1, dtype=np.int64)
-        for c, shots in enumerate(created.tolist()):
-            if shots:
-                clicks = (rng.binomial(c, params.eta_d, size=shots)
-                          + rng.binomial(m - c, params.p_dark, size=shots))
-                counts += np.bincount(n - clicks[clicks <= n], minlength=n + 1)
+        for j, s_j in enumerate(lit.tolist()):
+            if s_j:
+                # cells d = 0..n - j; a last cell d > n - j, if any, is dropped
+                dark = rng.multinomial(s_j, idle_law[:n - j + 2])[:n - j + 1]
+                counts[n - j - dark.size + 1:n - j + 1] += dark[::-1]
         return counts
 
     totals = _mc_run(trials, seed, workers, run_chunk)

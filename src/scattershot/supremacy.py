@@ -229,14 +229,3 @@ def supremacy_sweep_mw(
         return f"n={n}", 1.0 / (m * params.t_step), [(n, probs)]
 
     return _sweep(m_range, a_prime, events_at)
-
-
-def crossing_modes(points, event_class: str = GENERALIZED) -> int | None:
-    """Smallest m where the class ratio first reaches 1, scanning ascending m."""
-    rows = sorted(
-        (p for p in points if p.event_class == event_class), key=lambda p: p.m
-    )
-    for p in rows:
-        if p.ratio >= 1.0:
-            return p.m
-    return None

@@ -4,7 +4,9 @@ from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
+from scattershot.distribution import sample_event_indices
 from scattershot.states import COLLISION_FREE, count_states
+from scattershot.supremacy import GENERALIZED
 
 
 def reference_enumeration(m, n, family):
@@ -35,3 +37,14 @@ def matrix_json(a):
     """The {"m", "re", "im"} matrix document that `--unitary` and `--matrix` read."""
     a = np.asarray(a, dtype=np.complex128)
     return json.dumps({"m": a.shape[0], "re": a.real.tolist(), "im": a.imag.tolist()})
+
+
+def sample_events(dist, seed, count):
+    """I.i.d. sampled occupation vectors, (count, m), the rows of `sample_event_indices`."""
+    return dist.states[sample_event_indices(dist, seed, count)]
+
+
+def crossing_modes(points, event_class=GENERALIZED):
+    """Smallest m where the class ratio first reaches 1, scanning ascending m."""
+    rows = sorted((p for p in points if p.event_class == event_class), key=lambda p: p.m)
+    return next((p.m for p in rows if p.ratio >= 1.0), None)

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 import pytest
-from helpers import matrix_json
+from helpers import crossing_modes, matrix_json
 
 from scattershot import states as st
 from scattershot.cli import main
@@ -44,7 +44,6 @@ from scattershot.sources import (
 )
 from scattershot.supremacy import (
     GENERALIZED,
-    crossing_modes,
     supremacy_sweep_mw,
     supremacy_sweep_spdc,
 )

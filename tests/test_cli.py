@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
-from helpers import matrix_json
+from helpers import matrix_json, sample_events
 
 from scattershot import __version__, sources
 from scattershot import states as st
@@ -32,7 +32,6 @@ from scattershot.distribution import (
     OutputDistribution,
     full_distribution,
     lossy_distribution,
-    sample_events,
 )
 from scattershot.linalg import haar_random_unitary
 from scattershot.supremacy import (
@@ -830,6 +829,43 @@ def test_sources_threads_invariant(tmp_path, spdc_config, mw_config):
         assert a.read_bytes() == b.read_bytes()
 
 
+# mc_estimate, mc_stderr and sigmas of `sources` at seed 2026 and 2e5 trials,
+# as the samplers drew them when this pin was written: a change to either
+# sampler's stream must change this table on purpose
+MC_STREAM_PIN = {
+    ("spdc", "10", "2"): {
+        "success": "0.001035,7.190023556985053e-05,0.4799159635531024",
+        "fake": "8.5e-05,2.061465194952367e-05,0.9574609838369336",
+        "lossy1": "0.00303,0.00012289872049781479,0.7195525270479752",
+    },
+    ("spdc", "10", "3"): {
+        "success": "1.5e-05,8.660189085695532e-06,0.02252254353842364",
+        "fake": "0.0,0.0,0.653538960749385",
+        "lossy1": "5e-05,1.5810993011193194e-05,0.63393463168783",
+        "lossy2": "0.000115,2.397777877535782e-05,1.5135589299609002",
+    },
+    ("mw", "16", "3"): {
+        "lossy0": "0.293515,0.001018243450199902,1.0765823101004721",
+        "lossy1": "0.21566,0.0009196487492515826,0.4735019343875622",
+        "lossy2": "0.079505,0.0006049130308358384,1.4391115318702896",
+        "lossy3": "0.01159,0.00023932897756017763,1.1126511035063658",
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(MC_STREAM_PIN), ids="-".join)
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_sources_monte_carlo_stream_is_pinned(case, threads, spdc_config, mw_config, capsys):
+    platform, m, n = case
+    extra = ["--n-lost", n] if platform == "mw" else []
+    config = spdc_config if platform == "spdc" else mw_config
+    assert main(["sources", "--config", config, "--m", m, "--n", n, *extra,
+                 "--trials", "200000", "--seed", "2026", "--threads", threads]) == 0
+    rows = [ln.split(",", 2) for ln in capsys.readouterr().out.splitlines()
+            if not ln.startswith("#")][1:]
+    assert {name: mc_columns for name, _analytic, mc_columns in rows} == MC_STREAM_PIN[case]
+
+
 def test_supremacy_sweep_csv(tmp_path, spdc_config):
     out = tmp_path / "sweep.csv"
     assert main(["supremacy", "--config", spdc_config, "--m-min", "10", "--m-max", "30",
@@ -985,6 +1021,11 @@ BAD_NUMERIC_FLAGS = {
     # SPDC lists lossy1..n-1 whatever --n-lost says
     "sources-n-lost-spdc": (["sources", "--config", "SPDC", "--m", "6", "--n", "3",
                              "--trials", "20000", "--n-lost", "2"], 2, "usage-error"),
+    # more modes than sources.MAX_MODES, refused before any law table is built
+    **{f"sources-m-too-large-{name}": (["sources", "--config", name.upper(), "--m", "100001",
+                                        "--n", "2", "--trials", "20000"],
+                                       1, "instance-too-large")
+       for name in ("spdc", "mw")},
 }
 
 
@@ -1151,6 +1192,31 @@ def test_config_schema_is_pinned():
     # every params field can be set from a config
     for cls, keys in CONFIG_KEYS.values():
         assert set(keys.values()) == {f.name for f in dataclasses.fields(cls)}
+
+
+@pytest.mark.parametrize("flag,value", [("--n-lost", "1"), ("--trials", "1000000"),
+                                        ("--seed", "0")])
+def test_sources_qd_refuses_monte_carlo_flags(qd_config, capsys, flag, value):
+    # the quantum-dot rows are closed forms only, so even a flag given at its
+    # Monte-Carlo default is a usage error
+    assert main(["sources", "--config", qd_config, "--m", "16", "--n", "3", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage-error: {flag} does not apply to qd configs")
+    assert f"got {value}" in captured.err
+
+
+def test_sources_monte_carlo_defaults_are_recorded(spdc_config, mw_config, capsys):
+    # without --trials and --seed, SPDC and microwave run 1000000 shots at seed 0
+    for config in (spdc_config, mw_config):
+        argv = ["sources", "--config", config, "--m", "6", "--n", "2"]
+        assert main(argv) == 0
+        implicit = capsys.readouterr().out
+        assert main(argv + ["--trials", "1000000", "--seed", "0"]) == 0
+        assert capsys.readouterr().out == implicit
+        header = next(ln for ln in implicit.splitlines() if ln.startswith("# config: "))
+        config = json.loads(header[len("# config: "):])
+        assert (config["trials"], config["seed"]) == (1_000_000, 0)
 
 
 def test_sources_qd_rows_equal_p_qd(qd_config, capsys):

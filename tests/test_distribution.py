@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
-from helpers import reference_enumeration
+from helpers import reference_enumeration, sample_events
 
 from scattershot import distribution
 from scattershot import states as st
@@ -21,7 +21,6 @@ from scattershot.distribution import (
     distinguishable_probability,
     full_distribution,
     lossy_distribution,
-    sample_events,
     total_variation_distance,
 )
 from scattershot.errors import (

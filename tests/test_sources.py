@@ -15,6 +15,7 @@ from scattershot import sources
 from scattershot.cli import main
 from scattershot.errors import InstanceTooLargeError, InvalidConfigurationError
 from scattershot.sources import (
+    MAX_MODES,
     MAX_TRIALS,
     MwParams,
     QdParams,
@@ -348,6 +349,22 @@ def test_monte_carlo_memory_is_bounded(g, trials):
     assert peak < 32 * 2**20
 
 
+@pytest.mark.parametrize("sampler,args", [
+    (monte_carlo_spdc, (10, 3, SPDC_REF)), (monte_carlo_mw, (16, 3, MW_REF))], ids=["spdc", "mw"])
+def test_monte_carlo_chunk_memory_does_not_grow_with_chunk_size(sampler, args):
+    # a chunk draws its branch counts, not a value per shot: per-shot draws of
+    # 200000-shot chunks peaked at 1.8 MB (SPDC) and 2.7 MB (microwave); the
+    # first call is made untraced, since it imports numpy.random's generators
+    sampler(*args, 20_000, 9)
+    tracemalloc.start()
+    try:
+        sampler(*args, 1_000_000, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 2**10
+
+
 def test_monte_carlo_deterministic_and_worker_invariant():
     a = monte_carlo_spdc(6, 2, SPDC_REF, 450_000, 17, workers=1)
     b = monte_carlo_spdc(6, 2, SPDC_REF, 450_000, 17, workers=3)
@@ -382,9 +399,29 @@ def test_monte_carlo_n_equals_m_matches_exact_process():
     _assert_within(got, exact, trials, 4.5)
 
 
+def _pmf_reference(T, q):
+    """P(X = k), k = 0..T, for X ~ Binomial(T, q), with math.comb."""
+    return [comb(T, k) * q**k * (1.0 - q) ** (T - k) for k in range(T + 1)]
+
+
+@pytest.mark.parametrize("q", [0.0, 1.0, 1e-4, 0.02, 0.1, 0.5, 0.9])
+def test_binomial_pmf_matches_comb_reference(q):
+    # T = 0 is the point mass [1]; q = 0 and q = 1 put all mass on k = 0 and
+    # k = T with exact zeros elsewhere
+    for T in range(0, 61):
+        got = sources._binomial_pmf(T, q)
+        want = _pmf_reference(T, q)
+        assert got.shape == (T + 1,)
+        for k, (a, b) in enumerate(zip(got, want)):
+            if b == 0.0:
+                assert a == 0.0, (T, k)
+            else:
+                assert math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0), (T, k, a, b)
+
+
 def _tail_reference(m, q):
     """P(pairs >= k), k = 0..m, for pairs ~ Binomial(m, q), with math.comb."""
-    pmf = [comb(m, j) * q**j * (1.0 - q) ** (m - j) for j in range(m + 1)]
+    pmf = _pmf_reference(m, q)
     return [math.fsum(pmf[k:]) for k in range(m + 1)]
 
 
@@ -420,6 +457,26 @@ def test_pair_tail_without_pairs_keeps_no_shot():
     # g = 0: no uniform lies below P(pairs >= n) = 0, for any n >= 1
     tail = sources._pair_tail(12, 0.0)
     assert tail[0] == 1.0 and not tail[1:].any()
+
+
+@pytest.mark.parametrize("sampler", ["spdc", "mw"])
+def test_oversized_modes_are_refused_before_any_law_or_spawn(sampler, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a law table or seed sequence was made")
+
+    monkeypatch.setattr(sources, "_binomial_pmf", fail)
+    monkeypatch.setattr(np.random, "SeedSequence", fail)
+    with pytest.raises(InstanceTooLargeError):
+        if sampler == "spdc":
+            monte_carlo_spdc(MAX_MODES + 1, 2, SPDC_REF, 20_000, 1)
+        else:
+            monte_carlo_mw(MAX_MODES + 1, 3, MW_REF, 20_000, 1)
+
+
+def test_mode_cap_admits_max_modes():
+    # about 1e4 dark counts per shot in the idle modes: every class is impossible
+    mc = monte_carlo_mw(MAX_MODES, 3, MW_REF, 20_000, 1)
+    assert [est.probability for est in mc.values()] == [0.0] * 4
 
 
 @pytest.mark.parametrize("sampler", ["spdc", "mw"])
@@ -524,10 +581,12 @@ def test_mw_monte_carlo_matches_exact_process():
         assert mc[k].sigmas_from(exact[k]) < 4.0
 
 
-# 29 random class frequencies, each within 4.5 sigma of the exact process with
+# 36 random class frequencies, each within 4.5 sigma of the exact process with
 # the stderr of the exact probability: two-sided 6.8e-6 each, family-wise
-# <= 2.0e-4 (Bonferroni); the smallest class expects 74 hits in 400000 shots.
-# The last case is deterministic (every photon created and seen, no darks).
+# <= 2.5e-4 (Bonferroni); the smallest class expects 74 hits in 400000 shots.
+# "ideal" is deterministic (every photon created and seen, no darks), and at
+# p_dark = 1 every one of the 13 or more vacuum modes clicks, so every class
+# is impossible.
 MW_EXACT_CASES = {
     "m16-n3": (16, 3, MW_REF),
     "m30-n5": (30, 5, MW_REF),
@@ -537,6 +596,9 @@ MW_EXACT_CASES = {
     "p_in=1": (16, 3, replace(MW_REF, p_in=1.0)),
     "eta_d=1": (16, 3, replace(MW_REF, eta_d=1.0)),
     "ideal": (16, 3, MwParams(p_in=1.0, eta_d=1.0, p_dark=0.0)),
+    "p_dark=1": (16, 3, replace(MW_REF, p_dark=1.0)),
+    "p_in=0": (16, 3, replace(MW_REF, p_in=0.0)),
+    "eta_d=0": (16, 3, replace(MW_REF, eta_d=0.0)),
 }
 
 

@@ -2,6 +2,7 @@ from itertools import combinations
 from math import comb, inf
 
 import pytest
+from helpers import crossing_modes
 
 from scattershot.distribution import LossConfig
 from scattershot.sources import MwParams, QdParams, SpdcParams
@@ -11,7 +12,6 @@ from scattershot.supremacy import (
     GENERALIZED,
     SupremacyPoint,
     _sweep,
-    crossing_modes,
     linear_eta_schedule,
     max_photons_under_complexity,
     scattershot_photon_range,

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
+import io
 import json
 import os
 import sys
@@ -45,11 +47,23 @@ def _meta_lines(command: str, config: dict) -> list[str]:
     ]
 
 
-def _read_text(path: str, what: str) -> str:
+def _read_bytes(path: str, what: str) -> bytes:
     try:
-        return Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
+        return Path(path).read_bytes()
+    except OSError as exc:
         raise UsageError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _decode(data: bytes, path: str, what: str) -> str:
+    """data as open() reads a text file: the locale encoding, universal newlines."""
+    try:
+        return io.TextIOWrapper(io.BytesIO(data)).read()
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _read_text(path: str, what: str) -> str:
+    return _decode(_read_bytes(path, what), path, what)
 
 
 def _write_text(path: str | None, text) -> None:
@@ -148,31 +162,56 @@ def params_from_config(doc: dict, m: int):
 # ------------------------------------------------------- distribution io
 
 
-def distribution_to_json(dist: dstr.OutputDistribution, command: str, config: dict) -> str:
-    doc = {
-        "meta": {"version": __version__, "command": command, "config": config},
-        "m": dist.m,
-        "n": dist.n_detected,
-        "family": dist.family,
-        "renormalized": dist.renormalized,
-        "raw_mass": dist.raw_mass,
-        "states": st.format_states(dist.states),
-        "probs": dist.probs.tolist(),
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+def _blocks(dist: dstr.OutputDistribution):
+    """The row slices of dist that the writers format at a time."""
+    return (slice(start, start + st.FORMAT_CHUNK)
+            for start in range(0, len(dist), st.FORMAT_CHUNK))
 
 
-def distribution_to_csv(dist: dstr.OutputDistribution, command: str, config: dict) -> str:
+def distribution_json_parts(dist: dstr.OutputDistribution, command: str, config: dict):
+    """The JSON artifact as text parts to write in turn: json.dumps of the whole
+    document with sorted keys, its probs and states laid out a block at a time."""
+    dumps = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
+    head = dumps({"meta": {"version": __version__, "command": command, "config": config},
+                  "m": dist.m, "n": dist.n_detected, "family": dist.family})
+    tail = dumps({"renormalized": dist.renormalized, "raw_mass": dist.raw_mass})
+    from ._shortest import format_rows  # only distribution files need the kernel
+    yield head[:-1] + ',"probs":['
+    sep = ""
+    for rows in _blocks(dist):
+        yield sep + format_rows(dist.probs[rows], end=",")[:-1]
+        sep = ","
+    yield "]," + tail[1:-1] + ',"states":['
+    sep = '"'
+    for rows in _blocks(dist):
+        yield sep + '","'.join(st.format_states(dist.states[rows])) + '"'
+        sep = ',"'
+    yield "]}\n"
+
+
+def distribution_csv_parts(dist: dstr.OutputDistribution, command: str, config: dict):
+    """The CSV artifact as text parts to write in turn: the metadata and header
+    lines, then one part per block of rows."""
     header = (f"# m={dist.m} n={dist.n_detected} family={dist.family} "
               f"renormalized={dist.renormalized} raw_mass={_fmt(dist.raw_mass)}\n"
               "state,probability")
-    chunks = []
-    for start in range(0, len(dist), st.FORMAT_CHUNK):
-        rows = slice(start, start + st.FORMAT_CHUNK)
-        # one string per chunk: no K-long list of small line strings
-        chunks.append("\n".join(map(",".join, zip(st.format_states(dist.states[rows]),
-                                                  map(repr, dist.probs[rows].tolist())))))
-    return _table(command, config, header, chunks)
+    from ._shortest import format_rows  # only distribution files need the kernel
+    yield _table(command, config, header, [])
+    for rows in _blocks(dist):
+        cells = st.state_cells(dist.states[rows], ",")
+        if cells is not None:
+            yield format_rows(dist.probs[rows], cells)
+        else:  # occupations of 10 or more
+            probs = format_rows(dist.probs[rows]).split("\n")
+            yield "".join(map("{},{}\n".format, st.format_states(dist.states[rows]), probs))
+
+
+def distribution_to_json(dist: dstr.OutputDistribution, command: str, config: dict) -> str:
+    return "".join(distribution_json_parts(dist, command, config))
+
+
+def distribution_to_csv(dist: dstr.OutputDistribution, command: str, config: dict) -> str:
+    return "".join(distribution_csv_parts(dist, command, config))
 
 
 def _decode_states(texts: list, m: int, n: int, path: str) -> np.ndarray:
@@ -263,14 +302,73 @@ def _distribution_from_json(text: str, path: str) -> dstr.OutputDistribution:
     )
 
 
-def _distribution_from_csv(text: str, path: str) -> dstr.OutputDistribution:
-    lines = text.splitlines()
+# the line ends str.splitlines knows besides '\n', the ASCII ones first
+_OTHER_LINE_ENDS = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+# the ASCII characters str.isspace knows
+_ASCII_SPACES = b" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
+# bytes of a distribution CSV searched at a time for its '\n' and ',' bytes:
+# no temporary the size of the file
+SCAN_BYTES = 1 << 16
+
+
+def _positions(data: bytes, start: int, byte: int) -> np.ndarray:
+    """The offsets of byte in data from start on, ascending."""
+    buf = np.frombuffer(data, dtype=np.uint8)
+    found = [np.flatnonzero(buf[i:i + SCAN_BYTES] == byte) + i
+             for i in range(start, len(data), SCAN_BYTES)]
+    return np.concatenate(found) if found else np.zeros(0, dtype=np.intp)
+
+
+def _csv_rows(data: bytes) -> tuple[int, np.ndarray, np.ndarray]:
+    """(body, starts, ends) of CSV bytes: where the rows begin, after the lines
+    that start with '#' or 'state,', and the [start, end) byte range of each
+    '\n'-ended row (the last one may lack its '\n')."""
+    body = 0
+    while data.startswith((b"#", b"state,"), body):
+        body = data.find(b"\n", body) + 1 or len(data)
+    ends = _positions(data, body, ord("\n"))
+    if len(data) > body and not data.endswith(b"\n"):
+        ends = np.append(ends, len(data))
+    starts = np.concatenate(([body], ends[:-1] + 1)) if ends.size else ends
+    return body, starts, ends
+
+
+def _csv_layout(data: bytes, plain: bool) -> tuple[bytes, int, np.ndarray, np.ndarray]:
+    """(data, body, starts, ends): the UTF-8 bytes of a distribution CSV and
+    _csv_rows of them; plain says its only line end is '\n'.
+
+    A plain file in the layout `distribution` writes ('#' and 'state,' lines,
+    then rows that are neither, nor blank) is read as it is. Any other is
+    first rewritten in that layout from its str.splitlines lines: its '#'
+    lines, then the lines that are neither blank nor a 'state,' line.
+    """
+    body, starts, ends = _csv_rows(data)
+    lead = np.frombuffer(data, dtype=np.uint8)[starts]
+    laid_out = plain and not (
+        np.any(starts == ends)  # a blank line among the rows
+        or np.any(lead == ord("#"))
+        or any(data.startswith(b"state,", i) for i in starts[lead == ord("s")]))
+    if laid_out:
+        return data, body, starts, ends
+    lines = data.decode("utf-8").splitlines()
+    data = "\n".join([ln for ln in lines if ln[:1] == "#"]
+                     + [ln for ln in lines if ln and not ln.startswith(("#", "state,"))]
+                     ).encode("utf-8")
+    return (data, *_csv_rows(data))
+
+
+def _distribution_from_csv(data: bytes, size: int, plain: bool,
+                           path: str) -> dstr.OutputDistribution:
+    """The distribution of a CSV file of size characters, given as its UTF-8
+    bytes; plain says its only line end is '\n'."""
+    data, body, starts, ends = _csv_layout(data, plain)
     header = {}
-    for line in [ln for ln in lines if ln[:1] == "#"]:
-        for tok in line[1:].split():
-            key, sep, value = tok.partition("=")
-            if sep:
-                header[key] = value
+    for line in data[:body].decode("utf-8").splitlines():
+        if line[:1] == "#":
+            for tok in line[1:].split():
+                key, sep, value = tok.partition("=")
+                if sep:
+                    header[key] = value
     required = {"m", "n", "family", "renormalized", "raw_mass"}
     if not required <= header.keys():
         raise UsageError(f"distribution CSV header missing {required - header.keys()}")
@@ -281,36 +379,43 @@ def _distribution_from_csv(text: str, path: str) -> dstr.OutputDistribution:
     if header["renormalized"] not in ("True", "False"):
         raise UsageError(f"distribution CSV header in {path}: renormalized must be True or "
                          f"False, got {header['renormalized']!r}")
-    rows = [ln for ln in lines if ln and not ln.startswith(("#", "state,"))]
-    if not rows:
+    count = len(starts)
+    if not count:
         raise UsageError(f"distribution {path} lists no states")
     # a row takes at least 2m characters (m cells, m - 1 ':' and its ','), so
     # the occupation array never outgrows the file
-    if m < 1 or 2 * m * len(rows) > len(text):
+    if m < 1 or 2 * m * count > size:
         raise UsageError(f"distribution {path} has a blank state or one whose length is not m={m}")
+    # every row holds one ',': the file's i-th ',' lies in row i
+    commas = _positions(data, body, ord(","))
+    one_comma = None
+    if commas.size != count or np.any(commas < starts) or np.any(commas >= ends):
+        one_comma = np.bincount(np.searchsorted(ends, commas), minlength=count + 1)[:count] == 1
+    del commas
+
+    def row(i):
+        return data[starts[i]:ends[i]].decode("utf-8")
+
     # filled in place: no chunk result outlives its chunk's temporaries
-    occ = np.empty((len(rows), m), dtype=np.uint8)
-    probs = np.empty(len(rows), dtype=np.float64)
-    for start in range(0, len(rows), st.FORMAT_CHUNK):
-        part = rows[start:start + st.FORMAT_CHUNK]
-        joined = "\n".join(part)
-        # the ',' and '\n' bytes in order: one ',' per row, then its '\n'
-        marks = np.frombuffer(joined.encode("ascii", "replace"), dtype=np.uint8)
-        marks = marks[(marks == ord(",")) | (marks == ord("\n"))]
-        if marks.size != 2 * len(part) - 1 or np.any(marks[1::2] != ord("\n")):
-            bad = next(row for row in part if row.count(",") != 1)
+    occ = np.empty((count, m), dtype=np.uint8)
+    probs = np.empty(count, dtype=np.float64)
+    for start in range(0, count, st.FORMAT_CHUNK):
+        stop = min(start + st.FORMAT_CHUNK, count)
+        if one_comma is not None and not one_comma[start:stop].all():
+            bad = row(start + int(np.argmin(one_comma[start:stop])))
             raise UsageError(f"malformed distribution row {bad!r} in {path}: "
                              "it needs exactly one ','")
-        cells = joined.replace("\n", ",").split(",")  # state, probability, state, ...
+        # state, probability, state, ...
+        cells = data[starts[start]:ends[stop - 1]].decode("utf-8").replace("\n", ",").split(",")
         try:
-            probs[start:start + len(part)] = list(map(float, cells[1::2]))
+            probs[start:stop] = list(map(float, cells[1::2]))
         except ValueError:
-            for row, cell in zip(part, cells[1::2]):
+            for i, cell in enumerate(cells[1::2], start):
                 try:
                     float(cell)
                 except ValueError as exc:
-                    raise UsageError(f"malformed distribution row {row!r} in {path}") from exc
-        occ[start:start + len(part)] = _decode_states(cells[0::2], m, n, path)
+                    raise UsageError(f"malformed distribution row {row(i)!r} in {path}") from exc
+        occ[start:stop] = _decode_states(cells[0::2], m, n, path)
     return dstr.OutputDistribution(
         m=m, n_detected=n, family=header["family"], states=occ, probs=probs,
         raw_mass=raw_mass, renormalized=header["renormalized"] == "True",
@@ -325,10 +430,21 @@ def distribution_from_file(path: str) -> dstr.OutputDistribution:
     or malformed files are usage errors; a well-formed file whose values are
     not a distribution raises InvalidDistributionError.
     """
-    text = _read_text(path, "distribution")
+    data = _read_bytes(path, "distribution")
+    if data.isascii() and b"\r" not in data:
+        # the text is the bytes: str.lstrip would strip the ASCII spaces here
+        if data.lstrip(_ASCII_SPACES).startswith(b"{"):
+            return _distribution_from_json(data.decode("ascii"), path)
+        plain = not any(end.encode("ascii") in data for end in _OTHER_LINE_ENDS[:6])
+        return _distribution_from_csv(data, len(data), plain, path)
+    text = _decode(data, path, "distribution")
     if text.lstrip().startswith("{"):
         return _distribution_from_json(text, path)
-    return _distribution_from_csv(text, path)
+    # the CSV reader holds the file once, as UTF-8 bytes
+    size, plain = len(text), not any(end in text for end in _OTHER_LINE_ENDS)
+    data = text.encode("utf-8")
+    del text
+    return _distribution_from_csv(data, size, plain, path)
 
 
 # ----------------------------------------------------------- subcommands
@@ -403,10 +519,8 @@ def cmd_distribution(args) -> int:
         "loss_out": args.loss_out,
         "renormalized": dist.renormalized,
     }
-    if args.format == "json":
-        _write_text(args.out, distribution_to_json(dist, "distribution", config))
-    else:
-        _write_text(args.out, distribution_to_csv(dist, "distribution", config))
+    parts = distribution_json_parts if args.format == "json" else distribution_csv_parts
+    _write_text(args.out, parts(dist, "distribution", config))
     return 0
 
 

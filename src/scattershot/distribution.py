@@ -101,7 +101,13 @@ class OutputDistribution:
 
 
 def bs_probability(u: np.ndarray, input_state, output_state) -> float:
-    """|per(U_{S,T})|^2 / (prod s_i! prod t_j!) for indistinguishable photons."""
+    """|per(U_{S,T})|^2 / (prod s_i! prod t_j!) for indistinguishable photons.
+
+    With distinguishable_probability, build_submatrix and occupation_factorial
+    this is the independent per-pattern reference: one Glynn permanent per
+    output pattern. The tests and perfbench's checks use it; no program path
+    does.
+    """
     sub = build_submatrix(u, input_state, output_state)
     per = permanent_glynn(sub)
     norm = occupation_factorial(input_state) * occupation_factorial(output_state)
@@ -109,7 +115,11 @@ def bs_probability(u: np.ndarray, input_state, output_state) -> float:
 
 
 def distinguishable_probability(u: np.ndarray, input_state, output_state) -> float:
-    """per(|U_{S,T}|^2) / prod t_j!, the classical-particle transition rule."""
+    """per(|U_{S,T}|^2) / prod t_j!, the classical-particle transition rule.
+
+    Part of the independent per-pattern reference (see bs_probability): the
+    tests and perfbench's checks use it; no program path does.
+    """
     sub = build_submatrix(u, input_state, output_state)
     per = _glynn(np.abs(sub) ** 2, 1)
     return float(per / occupation_factorial(output_state))

@@ -64,6 +64,10 @@ def build_submatrix(u: np.ndarray, input_state, output_state) -> np.ndarray:
 
     Rows follow the output occupations, columns the input occupations, both in
     ascending mode order. Requires equal photon number on both sides.
+
+    Part of the independent per-pattern reference (see
+    distribution.bs_probability): the tests and perfbench's checks use it; no
+    program path does.
     """
     s = np.asarray(input_state)
     t = np.asarray(output_state)
@@ -84,7 +88,12 @@ def build_submatrix(u: np.ndarray, input_state, output_state) -> np.ndarray:
 
 
 def occupation_factorial(state) -> float:
-    """Product of occupation-number factorials, s_1! ... s_m!."""
+    """Product of occupation-number factorials, s_1! ... s_m!.
+
+    Part of the independent per-pattern reference (see
+    distribution.bs_probability): the tests and perfbench's checks use it; no
+    program path does.
+    """
     return float(math.prod(math.factorial(int(k)) for k in np.asarray(state)))
 
 

@@ -26,7 +26,7 @@ FULL_FOCK = "full-fock"
 
 DEFAULT_STATE_CAP = 5_000_000
 
-# rows per chunk of the distribution file codec: format_states and the cli readers
+# rows per chunk of the distribution file codec: format_states, the cli writers and readers
 FORMAT_CHUNK = 4096
 _DIGITS = np.array([str(i) for i in range(256)], dtype=object)
 
@@ -57,9 +57,13 @@ def enumerate_states(m: int, n: int, family: str):
     index = expansion_index(m, n, family)
     modes = index[-1][0]
     occ = np.zeros((modes.shape[1], m), dtype=np.uint8)
-    rows = np.arange(modes.shape[1])
+    # each row's flat offset, moved to one photon's cell and back: the cells a
+    # photon lands on are distinct, one per row
+    flat = np.arange(0, occ.size, m)
     for photon in modes:
-        occ[rows, photon] += 1
+        flat += photon
+        occ.reshape(-1)[flat] += 1
+        flat -= photon
     return occ, index
 
 
@@ -118,20 +122,29 @@ def expansion_index(m: int, n: int, family: str) -> list[tuple[np.ndarray, np.nd
     return levels
 
 
+def state_cells(occ, end: str):
+    """The rows of a (K, m) occupation array as '0:2:1' cells, each row ended
+    by end: a (K, 2m) uint8 array, or None when an occupation has two digits."""
+    if occ.max(initial=0) >= 10:
+        return None
+    cells = np.full((occ.shape[0], 2 * occ.shape[1]), ord(":"), dtype=np.uint8)
+    cells[:, 0::2] = occ + ord("0")
+    cells[:, -1] = ord(end)
+    return cells
+
+
 def format_states(occ) -> list[str]:
     """'0:2:1'-style strings of the rows of a (K, m) occupation array.
 
-    A chunk whose occupations are all single digits is laid out as one byte
-    buffer of digit and ':' cells with '\\n' at each row end, and decoded and
-    split once; occupations of 10 or more go through the per-cell digit table.
+    A chunk whose occupations are all single digits is laid out by state_cells
+    as one byte buffer, and decoded and split once; occupations of 10 or more
+    go through the per-cell digit table.
     """
     out = []
     for start in range(0, len(occ), FORMAT_CHUNK):
         chunk = occ[start:start + FORMAT_CHUNK]
-        if chunk.max() < 10:
-            cells = np.full((chunk.shape[0], 2 * chunk.shape[1]), ord(":"), dtype=np.uint8)
-            cells[:, 0::2] = chunk + ord("0")
-            cells[:, -1] = ord("\n")
+        cells = state_cells(chunk, "\n")
+        if cells is not None:
             out.extend(cells.tobytes().decode("ascii").split("\n")[:-1])
         else:
             out.extend(":".join(row) for row in _DIGITS[chunk].tolist())

@@ -72,6 +72,23 @@ def test_enumeration_matches_itertools_reference(m, n, family):
     assert np.array_equal(index[-1][0].T, want_modes)
 
 
+def _occupations_by_photon_rows(modes, m):
+    """The per-photon (row, mode) fill the flat pass of enumerate_states replaced."""
+    occ = np.zeros((modes.shape[1], m), dtype=np.uint8)
+    rows = np.arange(modes.shape[1])
+    for photon in modes:
+        occ[rows, photon] += 1
+    return occ
+
+
+@pytest.mark.parametrize("m,n,family", [(6, 3, COLLISION_FREE), (6, 3, FULL_FOCK),
+                                        (20, 7, COLLISION_FREE), (20, 4, FULL_FOCK),
+                                        (2, 10, FULL_FOCK), (1, 9, FULL_FOCK)])
+def test_flat_occupation_pass_matches_per_photon_fill(m, n, family):
+    occ, index = enumerate_states(m, n, family)
+    assert np.array_equal(occ, _occupations_by_photon_rows(index[-1][0], m))
+
+
 def test_cap_enforced():
     # C(40, 10) ~ 8.5e8 states exceeds DEFAULT_STATE_CAP
     with pytest.raises(InstanceTooLargeError):

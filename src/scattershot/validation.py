@@ -24,6 +24,8 @@ and its (trials, max_samples) uniforms.
 """
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,13 +49,25 @@ from .errors import (
     InvalidConfigurationError,
 )
 from .linalg import haar_random_unitary
-from .sources import _pool_map
 
 # length of the first stream prefix read; each further block doubles it
 FIRST_PREFIX = 32
 # most unitaries one validate runs: their SeedSequence children are spawned up
 # front at about 400 bytes each (tracemalloc), so at most about 40 MB of seeds
 MAX_ENSEMBLE = 100_000
+
+
+def _pool_map(fn, jobs: list, workers: int) -> list:
+    """[fn(job) for job in jobs], in job order, on up to `workers` threads.
+
+    The pool is as wide as `workers`, the job count and the CPU count allow;
+    one worker runs inline, since a one-thread pool measured 10-15% slower.
+    """
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, jobs))
+    return [fn(job) for job in jobs]
 
 
 def _log_ratios(p_bs: OutputDistribution, p_dist: OutputDistribution) -> np.ndarray:

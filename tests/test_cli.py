@@ -23,8 +23,8 @@ from scattershot.cli import (
     _parse_states,
     build_parser,
     distribution_from_file,
-    distribution_to_csv,
-    distribution_to_json,
+    distribution_csv_parts,
+    distribution_json_parts,
     main,
 )
 from scattershot.distribution import (
@@ -420,7 +420,7 @@ def test_reading_a_large_csv_is_memory_bounded(tmp_path):
     probs /= probs.sum()
     dist = OutputDistribution(20, 7, st.COLLISION_FREE, occ, probs, 1.0, True)
     path = tmp_path / "d.csv"
-    path.write_text(distribution_to_csv(dist, "distribution", {}))
+    path.write_text("".join(distribution_csv_parts(dist, "distribution", {})))
     tracemalloc.start()
     try:
         back = distribution_from_file(str(path))
@@ -443,9 +443,10 @@ def test_distribution_file_round_trip_property(m, n, family, data):
     probs /= probs.sum()
     dist = OutputDistribution(m, n, family, occ, probs, float(probs.sum()), False)
     with tempfile.TemporaryDirectory() as tmp:
-        for name, write in (("d.csv", distribution_to_csv), ("d.json", distribution_to_json)):
+        for name, write in (("d.csv", distribution_csv_parts),
+                            ("d.json", distribution_json_parts)):
             path = Path(tmp) / name
-            path.write_text(write(dist, "distribution", {}))
+            path.write_text("".join(write(dist, "distribution", {})))
             back = distribution_from_file(str(path))
             assert (back.m, back.n_detected, back.family) == (m, n, family)
             assert np.array_equal(back.states, occ)
@@ -588,9 +589,9 @@ def _writer_cases():
 def test_distribution_writers_match_row_by_row_reference():
     config = {"m": 2, "haar_seed": 1, "input": "6:4"}
     for name, dist in _writer_cases().items():
-        csv_text = distribution_to_csv(dist, "distribution", config)
+        csv_text = "".join(distribution_csv_parts(dist, "distribution", config))
         assert csv_text == _reference_csv(dist, config), name
-        json_text = distribution_to_json(dist, "distribution", config)
+        json_text = "".join(distribution_json_parts(dist, "distribution", config))
         assert json_text == _reference_json(dist, config), name
 
 
@@ -937,7 +938,7 @@ def test_sources_class_without_hits_reads_finite_sigmas(spdc_config, capsys, mon
     # stays finite
     trials = 200000
 
-    def no_fake_hit(m, n, params, trials, seed, workers=1):
+    def no_fake_hit(m, n, params, trials, seed):
         hit = sources.McEstimate(1e-5, math.sqrt(1e-5 * (1 - 1e-5) / trials), trials)
         return sources.SpdcMcResult(trials, hit, sources.McEstimate(0.0, 0.0, trials),
                                     {k: hit for k in range(1, n)})
@@ -1270,3 +1271,29 @@ def test_parser_rejects_unknown_command():
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["-h", "sources"], ["--version"], [], ["frobnicate"], ["--bogus"],
+    *([name, "--help"] for name in CLI_SURFACE),
+    ["sources"], ["sources", "--m", "x"], ["validate", "--frob"], ["tvd", "--p", "a"],
+], ids=" ".join)
+def test_main_prints_what_the_full_parser_prints(argv, capsys):
+    # main adds arguments to the invoked subcommand only; help, the version
+    # and every parse error still read as the full parser's, byte for byte
+    def run(parse):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        return exc.value.code, capsys.readouterr()
+
+    assert run(main) == run(build_parser().parse_args)
+
+
+def test_parser_for_one_command_adds_only_its_arguments():
+    sub = next(a for a in build_parser("sources")._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {name: sorted(o for a in sp._actions for o in a.option_strings)
+           for name, sp in sub.choices.items()}
+    assert list(got) == list(CLI_SURFACE)
+    assert got == {name: sorted(CLI_SURFACE[name] + ["--help", "-h"]) if name == "sources"
+                   else ["--help", "-h"] for name in CLI_SURFACE}

@@ -16,8 +16,6 @@ from scattershot.cli import (
     _write_text,
     distribution_csv_parts,
     distribution_json_parts,
-    distribution_to_csv,
-    distribution_to_json,
 )
 from scattershot.distribution import OutputDistribution
 
@@ -132,9 +130,9 @@ def _table(m, n, family, size, seed):
 def test_writers_match_parent_writers_at_block_edges(size, m, n, family):
     dist = _table(m, n, family, size, seed=size)
     config = {"m": m, "input": "generated"}
-    assert distribution_to_csv(dist, "distribution", config) == _parent_csv(
+    assert "".join(distribution_csv_parts(dist, "distribution", config)) == _parent_csv(
         dist, "distribution", config)
-    assert distribution_to_json(dist, "distribution", config) == _parent_json(
+    assert "".join(distribution_json_parts(dist, "distribution", config)) == _parent_json(
         dist, "distribution", config)
 
 

@@ -1,7 +1,6 @@
 import math
-import os
+import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from math import comb
 from pathlib import Path
@@ -365,12 +364,35 @@ def test_monte_carlo_chunk_memory_does_not_grow_with_chunk_size(sampler, args):
     assert peak < 256 * 2**10
 
 
-def test_monte_carlo_deterministic_and_worker_invariant():
-    a = monte_carlo_spdc(6, 2, SPDC_REF, 450_000, 17, workers=1)
-    b = monte_carlo_spdc(6, 2, SPDC_REF, 450_000, 17, workers=3)
-    assert a.success.probability == b.success.probability
-    assert a.fake.probability == b.fake.probability
-    assert a.lossy[1].probability == b.lossy[1].probability
+def test_monte_carlo_runs_on_the_calling_thread(monkeypatch, tmp_path):
+    def no_thread(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    monte_carlo_mw(16, 3, MW_REF, 1_000_000, 9)  # 5 chunks
+    monte_carlo_spdc(6, 2, SPDC_REF, 600_000, 9)  # 3 chunks
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    for platform, m, n in (("spdc", "10", "2"), ("mw", "16", "3")):
+        assert main(["sources", "--config", str(configs / f"{platform}.json"), "--m", m,
+                     "--n", n, "--trials", "450000", "--seed", "8", "--threads", "2",
+                     "--out", str(tmp_path / f"{platform}.csv")]) == 0
+
+
+def test_chunk_seeds_are_the_spawned_children_made_lazily(monkeypatch):
+    trials = 5 * sources.MC_CHUNK + 123
+    chunks = list(sources._mc_chunks(trials, 17))
+    children = np.random.SeedSequence(17).spawn(6)
+    assert [size for size, _ in chunks] == [sources.MC_CHUNK] * 5 + [123]
+    for (_, got), want in zip((chunks[0], chunks[-1]), (children[0], children[-1])):
+        assert np.array_equal(got.generate_state(4), want.generate_state(4))
+
+    made = []
+    monkeypatch.setattr(np.random, "SeedSequence",
+                        lambda *args, **kwargs: made.append(kwargs["spawn_key"]))
+    lazy = sources._mc_chunks(MAX_TRIALS, 0)
+    assert made == []
+    next(lazy)
+    assert made == [(0,)]
 
 
 def _assert_within(mc_counts, exact, trials, z_max):
@@ -610,23 +632,6 @@ def test_mw_monte_carlo_matches_exact_process_every_class(case):
     exact = exact_mw_apparent(m, n, params)
     assert set(mc) == set(range(n + 1))
     _assert_within(mc, {k: exact.get(k, 0.0) for k in range(n + 1)}, trials, 4.5)
-
-
-def test_monte_carlo_pool_width_is_bounded_by_cpu_count(monkeypatch):
-    widths = []
-
-    def recording_pool(max_workers, **kwargs):
-        widths.append(max_workers)
-        return ThreadPoolExecutor(max_workers=max_workers, **kwargs)
-
-    serial = (monte_carlo_mw(16, 3, MW_REF, 1_000_000, 9),
-              monte_carlo_spdc(6, 2, SPDC_REF, 600_000, 9))
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(sources, "ThreadPoolExecutor", recording_pool)
-    pooled = (monte_carlo_mw(16, 3, MW_REF, 1_000_000, 9, workers=64),  # 5 chunks
-              monte_carlo_spdc(6, 2, SPDC_REF, 600_000, 9, workers=64))  # 3 chunks
-    assert pooled == serial
-    assert widths == [2, 2]
 
 
 def test_mw_monte_carlo_rejects_more_photons_than_modes():

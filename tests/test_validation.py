@@ -4,7 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from scattershot import sources, validation
+from scattershot import validation
 from scattershot import states as st
 from scattershot.distribution import (
     DISTINGUISHABLE,
@@ -89,7 +89,7 @@ def test_validate_pool_width_is_bounded_by_cpu_count(monkeypatch):
                 max_samples=400)
     serial = min_samples_to_validate(**args)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(sources, "ThreadPoolExecutor", recording_pool)
+    monkeypatch.setattr(validation, "ThreadPoolExecutor", recording_pool)
     pooled = min_samples_to_validate(**args, workers=64)
     assert np.array_equal(pooled.per_unitary, serial.per_unitary)
     assert widths == [2]

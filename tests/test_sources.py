@@ -1,6 +1,8 @@
 import math
+import os
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from math import comb
 from pathlib import Path
@@ -364,6 +366,18 @@ def test_monte_carlo_chunk_memory_does_not_grow_with_chunk_size(sampler, args):
     assert peak < 256 * 2**10
 
 
+def test_monte_carlo_deterministic_and_worker_invariant():
+    # one seed gives one set of counts, whether the sampler runs alone or in
+    # three worker threads at once: calls share no state
+    serial = monte_carlo_spdc(6, 2, SPDC_REF, 450_000, 17)
+    assert monte_carlo_spdc(6, 2, SPDC_REF, 450_000, 17) == serial
+    with ThreadPoolExecutor(max_workers=3) as pool:
+        pooled = list(pool.map(lambda _: monte_carlo_spdc(6, 2, SPDC_REF, 450_000, 17),
+                               range(3)))
+    assert pooled == [serial] * 3
+    assert serial.success.probability > 0.0 and serial.lossy[1].probability > 0.0
+
+
 def test_monte_carlo_runs_on_the_calling_thread(monkeypatch, tmp_path):
     def no_thread(self):
         raise AssertionError("a thread was started")
@@ -632,6 +646,27 @@ def test_mw_monte_carlo_matches_exact_process_every_class(case):
     exact = exact_mw_apparent(m, n, params)
     assert set(mc) == set(range(n + 1))
     _assert_within(mc, {k: exact.get(k, 0.0) for k in range(n + 1)}, trials, 4.5)
+
+
+def test_monte_carlo_pool_width_is_bounded_by_cpu_count(monkeypatch, tmp_path):
+    # the chunks run on the calling thread: asking `sources` for 64 threads on
+    # 2 CPUs starts none and writes the bytes of --threads 1
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: (started.append(self), start(self))[1])
+    serial = (monte_carlo_mw(16, 3, MW_REF, 1_000_000, 9),  # 5 chunks
+              monte_carlo_spdc(6, 2, SPDC_REF, 600_000, 9))  # 3 chunks
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert (monte_carlo_mw(16, 3, MW_REF, 1_000_000, 9),
+            monte_carlo_spdc(6, 2, SPDC_REF, 600_000, 9)) == serial
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    args = ["sources", "--config", str(configs / "spdc.json"), "--m", "6", "--n", "2",
+            "--trials", "450000", "--seed", "8"]
+    for threads in ("1", "64"):
+        assert main(args + ["--threads", threads, "--out", str(tmp_path / f"{threads}.csv")]) == 0
+    assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "64.csv").read_bytes()
+    assert started == []
 
 
 def test_mw_monte_carlo_rejects_more_photons_than_modes():
